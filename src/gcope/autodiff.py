@@ -1,12 +1,19 @@
 """Minimal reverse-mode autodiff over dense numpy arrays.
 
 Tensors form a DAG; `backward()` on a scalar walks it in reverse
-topological order. Sparse adjacency matrices enter only as constants
-(spmm). The op set is exactly what the encoders, decoder, and losses
-need; nothing more.
+topological order. Sparse matrices enter only as constants: adjacencies
+through `spmm`, and the row sums behind `gather_rows`' backward and
+`scatter_add_rows`' forward as products with a constant 0/1 CSR matrix.
+That matrix lists each output row's source rows in ascending order (a
+stable argsort of the index), and SciPy adds a row's terms in that order
+with exact multiplications by 1, so the sums are bit-identical to
+`np.add.at`'s sequential ones. The op set is exactly what the encoders,
+decoder, and losses need; nothing more.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -71,9 +78,16 @@ class Tensor:
                 node._backward(node.grad)
 
     def _accum(self, g):
+        """Add `g` to this tensor's gradient.
+
+        The first gradient is kept without a copy, so several tensors may
+        hold the same (possibly read-only) array. That is safe because
+        gradients are never written in place: this method rebinds
+        `self.grad`, and `Adam.step` only reads it.
+        """
         g = np.asarray(g)
         if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=True).reshape(self.data.shape)
+            self.grad = g.astype(self.data.dtype, copy=False).reshape(self.data.shape)
         else:
             self.grad = self.grad + g.reshape(self.data.shape)
 
@@ -280,15 +294,30 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def _sum_rows(rows: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
+    """out[r] = sum of rows[k] over k with idx[k] == r, bit-identical to
+    `np.add.at` into zeros of rows' dtype (see the module docstring).
+
+    Raises IndexError unless 0 <= idx < n_rows.
+    """
+    if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
+        raise IndexError(f"row index out of range [0, {n_rows})")
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(idx, minlength=n_rows), out=indptr[1:])
+    ones = sp.csr_matrix((np.ones(idx.size, dtype=rows.dtype),
+                          np.argsort(idx, kind="stable"), indptr),
+                         shape=(n_rows, idx.size))
+    flat = rows.reshape(idx.size, math.prod(rows.shape[1:]))
+    return (ones @ flat).reshape((n_rows,) + rows.shape[1:])
+
+
 def gather_rows(t: Tensor, idx: np.ndarray) -> Tensor:
     t = as_tensor(t)
     idx = np.asarray(idx, dtype=np.int64)
     out = Tensor(t.data[idx], parents=(t,))
 
     def bwd(g):
-        acc = np.zeros_like(t.data)
-        np.add.at(acc, idx, g)
-        t._accum(acc)
+        t._accum(_sum_rows(g, idx, t.data.shape[0]))
     out._backward = bwd if out.requires_grad else None
     return out
 
@@ -297,9 +326,7 @@ def scatter_add_rows(t: Tensor, idx: np.ndarray, n_rows: int) -> Tensor:
     """out[r] = sum of rows k with idx[k] == r."""
     t = as_tensor(t)
     idx = np.asarray(idx, dtype=np.int64)
-    data = np.zeros((n_rows,) + t.data.shape[1:], dtype=t.data.dtype)
-    np.add.at(data, idx, t.data)
-    out = Tensor(data, parents=(t,))
+    out = Tensor(_sum_rows(t.data, idx, n_rows), parents=(t,))
 
     def bwd(g):
         t._accum(g[idx])

@@ -2,8 +2,8 @@
 
 Everything here is deliberately brute-force and written without reusing
 library internals: cyclic Jacobi eigensolver, dense joint-adjacency
-materialization, loop-based losses, scalar Adam, Floyd-Warshall distances,
-central finite differences.
+materialization, loop-based losses, scalar Adam, np.add.at row sums,
+Floyd-Warshall distances, central finite differences.
 """
 
 import numpy as np
@@ -94,6 +94,13 @@ def brute_nt_xent(anchors: np.ndarray, positives: np.ndarray, tau: float) -> flo
         sims = np.array([za[i] @ zp[j] / tau for j in range(b)])
         total += -np.log(np.exp(sims[i]) / np.sum(np.exp(sims)))
     return total / b
+
+
+def add_at_row_sum(rows: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
+    """out[r] = sum of rows[k] with idx[k] == r, added one k at a time."""
+    out = np.zeros((n_rows,) + rows.shape[1:], dtype=rows.dtype)
+    np.add.at(out, idx, rows)
+    return out
 
 
 def brute_mse(pred: np.ndarray, target: np.ndarray) -> float:

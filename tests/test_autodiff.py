@@ -7,7 +7,7 @@ from gcope.autodiff import (Param, Tensor, concat_cols, concat_rows, gather_rows
                             logsumexp_rows, mse, normalize_rows, scatter_add_rows,
                             softmax_cross_entropy, softmax_rows, spmm)
 
-from oracles import finite_diff_grad, rel_err
+from oracles import add_at_row_sum, finite_diff_grad, rel_err
 
 
 def check_grad(build_loss, *params, tol=1e-4):
@@ -99,6 +99,47 @@ def test_losses_grads(seed):
     logits = rnd(rng, 5, 3)
     labels = rng.integers(0, 3, size=5)
     check_grad(lambda: softmax_cross_entropy(logits, labels), logits)
+
+
+# 300 unsorted indices into 8 rows, so every hit row sums dozens of terms;
+# rows 1, 5 and 6 are never hit
+ROW_SUM_IDX = np.random.default_rng(1).choice([0, 2, 3, 4, 7], size=300)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("width", [(), (3,)])
+@pytest.mark.parametrize("idx", [ROW_SUM_IDX, np.zeros(0, dtype=np.int64)],
+                         ids=["mixed", "empty"])
+def test_row_sums_match_add_at(dtype, width, idx):
+    rng = np.random.default_rng(0)
+    # magnitudes spread over 1e-4..1e4 so any change of summation order shows
+    scale = 10.0 ** rng.uniform(-4, 4, size=(idx.size,) + width)
+    rows = (rng.standard_normal((idx.size,) + width) * scale).astype(dtype)
+    want = add_at_row_sum(rows, idx, 8)
+
+    out = scatter_add_rows(Tensor(rows), idx, 8)
+    assert out.data.dtype == dtype and np.array_equal(out.data, want)
+
+    t = Param(rng.standard_normal((8,) + width).astype(dtype))
+    (gather_rows(t, idx) * Tensor(rows)).sum().backward()
+    assert t.grad.dtype == dtype and np.array_equal(t.grad, want)
+
+
+def test_row_sum_index_out_of_range_raises():
+    with pytest.raises(IndexError):
+        scatter_add_rows(Tensor(np.ones((3, 2))), np.array([0, 3, 1]), 3)
+
+
+def test_shared_first_gradient_survives_accumulation():
+    # Both leaves of a + b receive the same gradient array from sum().
+    rng = np.random.default_rng(0)
+    a, b = rnd(rng, 3, 2), rnd(rng, 3, 2)
+    (a + b).sum().backward()
+    b_grad = b.grad.copy()
+    (a * a).sum().backward()
+    assert np.array_equal(b.grad, b_grad)
+    want = finite_diff_grad(lambda: float(((a + b).sum() + (a * a).sum()).data), a.data)
+    assert rel_err(a.grad, want) < 1e-4
 
 
 def test_grad_accumulates_across_reuse():
