@@ -25,8 +25,7 @@ class CoordinatorSet:
     """Learnable coordinator features plus wiring policy."""
 
     per_dataset: int = 1
-    init_scheme: str = "gaussian"      # "zeros" or "gaussian"
-    init_sigma: float = None           # default 1/sqrt(d_p)
+    init_scheme: str = "gaussian"      # "zeros" or "gaussian" (sigma 1/sqrt(d_p))
     inter_mode: str = "full"           # "full", "none", or "dynamic"
     dynamic_threshold: float = 0.0
     self_loops: bool = True
@@ -38,7 +37,7 @@ class CoordinatorSet:
         if self.init_scheme == "zeros":
             data = np.zeros((rows, d_p), dtype=dtype)
         elif self.init_scheme == "gaussian":
-            sigma = self.init_sigma if self.init_sigma is not None else 1.0 / np.sqrt(d_p)
+            sigma = 1.0 / np.sqrt(d_p)
             rng = np.random.default_rng([seed, 0xC00])
             data = (sigma * rng.standard_normal((rows, d_p))).astype(dtype)
         else:
@@ -68,13 +67,6 @@ class JointGraph:
     def num_coordinators(self) -> int:
         return self.num_nodes - self.num_ordinary
 
-    @property
-    def features(self) -> np.ndarray:
-        """Dense snapshot: projected features stacked over coordinator features."""
-        if self.coords is None or self.num_coordinators == 0:
-            return self.base_features.copy()
-        return np.vstack([self.base_features, self.coords.features.data])
-
     def feature_tensor(self) -> Tensor:
         """Differentiable feature matrix; gradients reach coordinator features."""
         if self.coords is None or self.num_coordinators == 0:
@@ -83,18 +75,6 @@ class JointGraph:
 
     def is_coordinator(self, idx) -> np.ndarray:
         return np.asarray(idx) >= self.num_ordinary
-
-
-def r_a_indicator(i: int, j: int, sizes: list[int]) -> int:
-    """1 iff global node j belongs to dataset i (prose semantics of the
-    block indicator; the printed index form is off by one block)."""
-    total = sum(sizes)
-    if not (0 <= i < len(sizes)):
-        raise errors.IndexOutOfRange(f"dataset index {i} outside [0, {len(sizes)})")
-    if not (0 <= j < total):
-        raise errors.IndexOutOfRange(f"node index {j} outside [0, {total})")
-    lo = sum(sizes[:i])
-    return int(lo <= j < lo + sizes[i])
 
 
 def build_joint_graph(projected: list[ProjectedFeatures],

@@ -244,9 +244,6 @@ class Tensor:
         denom = self.data.size if axis is None else self.data.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / denom)
 
-    def detach(self):
-        return Tensor(self.data.copy())
-
 
 class Param(Tensor):
     """Learnable tensor; always participates in the grad graph."""

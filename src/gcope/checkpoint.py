@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import errors
-from .nn import MlpDecoder, make_encoder
+from .nn import make_encoder
 
 MAGIC = b"GCOPEv1\n"
 
@@ -43,16 +42,6 @@ class Checkpoint:
             p.data = stored.copy()
         return enc
 
-    def decoder(self, seed: int = 0) -> MlpDecoder:
-        h = self.hyper
-        dec = MlpDecoder(h["hidden"], h["hidden"], h["d_p"], seed=seed)
-        for p in dec.params():
-            if p.name in self.tensors:
-                if self.tensors[p.name].shape != p.data.shape:
-                    raise errors.DimensionMismatch(f"tensor {p.name!r} shape mismatch")
-                p.data = self.tensors[p.name].copy()
-        return dec
-
 
 def config_fingerprint(resolved: dict) -> str:
     text = "\n".join(f"{k}={resolved[k]}" for k in sorted(resolved))
@@ -64,7 +53,7 @@ def save_checkpoint(path: str, hyper: dict, fingerprint: str,
     directory = []
     payload = bytearray()
     for name, arr in named_tensors:
-        arr = np.ascontiguousarray(arr, dtype="<f4")
+        arr = np.asarray(arr, dtype="<f4")  # keeps 0-d shapes, unlike ascontiguousarray
         directory.append({"name": name, "shape": list(arr.shape),
                           "offset": len(payload)})
         payload += arr.tobytes()
@@ -77,30 +66,34 @@ def save_checkpoint(path: str, hyper: dict, fingerprint: str,
         f.write(bytes(payload))
 
 
-def load_checkpoint(path: str, expect_fingerprint: str = None) -> Checkpoint:
+def load_checkpoint(path: str) -> Checkpoint:
+    """Read a checkpoint; a malformed file raises IoError."""
     with open(path, "rb") as f:
         magic = f.read(len(MAGIC))
         if magic != MAGIC:
             raise errors.IoError(f"{path}: not a GCOPEv1 checkpoint")
-        manifest = json.loads(f.readline().decode("utf-8"))
+        line = f.readline()
         payload = f.read()
+    try:
+        manifest = json.loads(line.decode("utf-8"))
+        hyper, fingerprint, entries = (manifest[k] for k in ("hyper", "fingerprint",
+                                                              "tensors"))
+        directory = [(e["name"], tuple(e["shape"]), e["offset"]) for e in entries]
+    except (ValueError, KeyError, TypeError) as e:
+        raise errors.IoError(f"{path}: malformed manifest: {e!r}") from e
     prev_end = 0
     tensors = {}
-    for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
+    for name, shape, start in directory:
+        if not all(isinstance(v, int) and v >= 0 for v in (start, *shape)):
+            raise errors.IoError(f"{path}: tensor {name!r} needs a non-negative "
+                                 f"integer offset and dimensions")
         count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
         if start < prev_end:
             raise errors.IoError(f"{path}: overlapping tensor payloads")
         end = start + 4 * count
         if end > len(payload):
             raise errors.IoError(f"{path}: truncated payload")
-        tensors[entry["name"]] = np.frombuffer(
+        tensors[name] = np.frombuffer(
             payload[start:end], dtype="<f4").reshape(shape).copy()
         prev_end = end
-    ckpt = Checkpoint(hyper=manifest["hyper"], fingerprint=manifest["fingerprint"],
-                      tensors=tensors)
-    if expect_fingerprint is not None and expect_fingerprint != ckpt.fingerprint:
-        warnings.warn(f"checkpoint fingerprint {ckpt.fingerprint} does not match "
-                      f"current config fingerprint {expect_fingerprint}")
-    return ckpt
+    return Checkpoint(hyper=hyper, fingerprint=fingerprint, tensors=tensors)

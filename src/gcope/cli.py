@@ -17,16 +17,14 @@ import numpy as np  # noqa: E402
 from . import config as cfgmod  # noqa: E402
 from . import errors  # noqa: E402
 from .amalgam import CoordinatorSet  # noqa: E402
-from .checkpoint import (Checkpoint, config_fingerprint, load_checkpoint,  # noqa: E402
-                         save_checkpoint)
+from .checkpoint import config_fingerprint, load_checkpoint, save_checkpoint  # noqa: E402
 from .evalkit import (ExperimentParams, run_ablation, run_gcope,  # noqa: E402
                       run_isolated_pretrain, run_supervised, summary_rows,
-                      write_summary_csv, write_summary_markdown)
+                      transfer_repeats, write_summary_csv, write_summary_markdown)
 from .graphstore import describe, load_dataset, synth_dataset, write_dataset  # noqa: E402
 from .pretrain import AugmentationSpec, PretrainConfig, pretrain  # noqa: E402
 from .projection import ProjectionConfig  # noqa: E402
-from .transfer import (TransferConfig, build_fewshot_task, evaluate_model,  # noqa: E402
-                       finetune, prompt_transfer)
+from .transfer import TransferConfig, evaluate_model  # noqa: E402
 
 EXIT_OK, EXIT_RUNTIME, EXIT_USAGE = 0, 1, 2
 
@@ -108,10 +106,15 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _pretrain_hyper(r: dict, num_datasets: int) -> dict:
+def _architecture(r: dict) -> dict:
+    """The checkpoint keys that fix the encoder's shape and function."""
     return {"d_p": r["proj_dim"], "enc_kind": r["enc_kind"], "hidden": r["hidden"],
             "num_layers": r["num_layers"], "activation": r["activation"],
-            "fagcn_eps": r["fagcn_eps"], "lambda": r["lambda"], "tau": r["tau"],
+            "fagcn_eps": r["fagcn_eps"]}
+
+
+def _pretrain_hyper(r: dict, num_datasets: int) -> dict:
+    return {**_architecture(r), "lambda": r["lambda"], "tau": r["tau"],
             "objective": r["objective"], "num_datasets": num_datasets,
             "coordinators_per_dataset": r["coordinators_per_dataset"]}
 
@@ -143,27 +146,16 @@ def cmd_pretrain(args) -> int:
 
 def cmd_transfer(args) -> int:
     r = _resolved(args, _overrides_from(args))
-    ckpt = load_checkpoint(args.ckpt, expect_fingerprint=config_fingerprint(r))
-    if ckpt.hyper["d_p"] != r["proj_dim"]:
-        raise errors.DimensionMismatch(
-            f"checkpoint d_p {ckpt.hyper['d_p']} != configured proj_dim {r['proj_dim']}")
+    ckpt = load_checkpoint(args.ckpt)
+    for key, want in _architecture(r).items():
+        if ckpt.hyper.get(key) != want:
+            raise errors.InvalidArgument(
+                f"checkpoint {key}={ckpt.hyper.get(key)!r} but configured {want!r}")
     target = load_dataset(args.target)
-    proj_cfg = _proj_cfg(r)
-    t_cfg = _transfer_cfg(r)
+    encoder = ckpt.encoder()
     rows = []
-    for rep in range(r["repeats"]):
-        seed = r["seed"] + rep
-        task = build_fewshot_task(target, r["shots"], r["hops"], seed)
-        cfg = TransferConfig(mode=t_cfg.mode, epochs=t_cfg.epochs,
-                             learning_rate=t_cfg.learning_rate,
-                             patience=t_cfg.patience,
-                             prompt_tokens=t_cfg.prompt_tokens,
-                             readout=t_cfg.readout, seed=seed)
-        enc = ckpt.encoder()
-        if cfg.mode == "prompt":
-            model = prompt_transfer(enc, task, cfg, proj_cfg)
-        else:
-            model = finetune(enc, task, cfg, proj_cfg)
+    repeats = transfer_repeats(lambda _seed: encoder, target, _experiment_params(r))
+    for rep, (_seed, task, model) in enumerate(repeats):
         for split in ("val", "test"):
             m = evaluate_model(model, task, split)
             rows.append((rep, split, m.acc, m.auc, m.f1))
@@ -215,7 +207,7 @@ def cmd_ablate(args) -> int:
         grid = [int(x) for x in args.grid.split(",")]
     else:
         grid = args.grid.split(",")
-    results = run_ablation(args.kind, grid, sources, target, params)
+    results = run_ablation(args.kind, grid, sources, target, params, _coords(r))
     with open(args.out, "w", newline="\n") as f:
         cols = "point,acc_mean,acc_std,auc_mean,auc_std,f1_mean,f1_std"
         f.write(cols + "\n")

@@ -9,12 +9,13 @@ import numpy as np
 
 from . import errors
 from .amalgam import CoordinatorSet
+from .config import parse_inter_mode
 from .graphstore import GraphDataset, synth_dataset
 from .nn import make_encoder
 from .pretrain import PretrainConfig, pretrain
 from .projection import ProjectionConfig
-from .transfer import (MetricReport, TransferConfig, build_fewshot_task,
-                       evaluate_model, finetune, prompt_transfer)
+from .transfer import (TransferConfig, build_fewshot_task, evaluate_model,
+                       finetune, prompt_transfer)
 
 METRICS = ("acc", "auc", "f1")
 
@@ -52,19 +53,24 @@ class ExperimentParams:
     transfer_cfg: TransferConfig = field(default_factory=TransferConfig)
 
 
-def _downstream_repeats(encoder_for_repeat, target: GraphDataset,
-                        params: ExperimentParams, scheme: str) -> RunSummary:
-    reports, seeds = [], []
+def transfer_repeats(encoder_for_seed, target: GraphDataset,
+                     params: ExperimentParams):
+    """Yield (seed, task, model) for seeds base_seed, base_seed + 1, ...: a
+    few-shot task drawn with that seed and the encoder from
+    `encoder_for_seed(seed)` transferred to it by finetuning or prompting."""
+    run = prompt_transfer if params.transfer_cfg.mode == "prompt" else finetune
     for r in range(params.repeats):
         seed = params.base_seed + r
-        seeds.append(seed)
         task = build_fewshot_task(target, params.k_shot, params.hops, seed)
         cfg = replace(params.transfer_cfg, seed=seed)
-        enc = encoder_for_repeat(r, seed)
-        if cfg.mode == "prompt":
-            model = prompt_transfer(enc, task, cfg, params.proj_cfg)
-        else:
-            model = finetune(enc, task, cfg, params.proj_cfg)
+        yield seed, task, run(encoder_for_seed(seed), task, cfg, params.proj_cfg)
+
+
+def _downstream_repeats(encoder_for_seed, target: GraphDataset,
+                        params: ExperimentParams, scheme: str) -> RunSummary:
+    reports, seeds = [], []
+    for seed, task, model in transfer_repeats(encoder_for_seed, target, params):
+        seeds.append(seed)
         reports.append(evaluate_model(model, task, "test"))
     return RunSummary(scheme=scheme, transfer_mode=params.transfer_cfg.mode,
                       reports=reports, seeds=seeds)
@@ -72,7 +78,7 @@ def _downstream_repeats(encoder_for_repeat, target: GraphDataset,
 
 def run_supervised(target: GraphDataset, params: ExperimentParams) -> RunSummary:
     """Fresh random encoder trained directly on the few-shot task."""
-    def fresh(_r, seed):
+    def fresh(seed):
         return make_encoder(params.enc_kind, params.proj_cfg.d_p,
                             hidden=params.hidden, num_layers=params.num_layers,
                             eps=params.fagcn_eps, seed=seed)
@@ -80,23 +86,19 @@ def run_supervised(target: GraphDataset, params: ExperimentParams) -> RunSummary
 
 
 def _pretrained_summary(sources, target, params: ExperimentParams,
-                        coords: CoordinatorSet | None, scheme: str):
+                        coords: CoordinatorSet | None, scheme: str) -> RunSummary:
     result = pretrain(sources, params.proj_cfg, coords, params.enc_kind,
                       params.pretrain_cfg, hidden=params.hidden,
                       num_layers=params.num_layers, fagcn_eps=params.fagcn_eps)
-
-    def pretrained(_r, _seed):
-        return result.encoder.copy()
-    summary = _downstream_repeats(pretrained, target, params, scheme)
-    return summary, result
+    # finetune and prompt_transfer train a copy, so every repeat starts
+    # from the same pretrained weights
+    return _downstream_repeats(lambda _seed: result.encoder, target, params, scheme)
 
 
 def run_isolated_pretrain(sources: list[GraphDataset], target: GraphDataset,
                           params: ExperimentParams) -> RunSummary:
     """Multi-source pretraining with no coordinators: pure block-diagonal graph."""
-    summary, _ = _pretrained_summary(sources, target, params, None,
-                                     "isolated_pretrain")
-    return summary
+    return _pretrained_summary(sources, target, params, None, "isolated_pretrain")
 
 
 def run_gcope(sources: list[GraphDataset], target: GraphDataset,
@@ -104,8 +106,7 @@ def run_gcope(sources: list[GraphDataset], target: GraphDataset,
               coords: CoordinatorSet = None) -> RunSummary:
     if coords is None:
         coords = CoordinatorSet()
-    summary, _ = _pretrained_summary(sources, target, params, coords, "gcope")
-    return summary
+    return _pretrained_summary(sources, target, params, coords, "gcope")
 
 
 def improvement_pct(gcope: RunSummary, baselines: list[RunSummary]) -> dict:
@@ -123,26 +124,31 @@ def improvement_pct(gcope: RunSummary, baselines: list[RunSummary]) -> dict:
 
 
 def run_ablation(kind: str, grid: list, sources: list[GraphDataset],
-                 target: GraphDataset, params: ExperimentParams) -> list[tuple]:
-    """One RunSummary per grid point; identical seeds across points."""
+                 target: GraphDataset, params: ExperimentParams,
+                 coords: CoordinatorSet = None) -> list[tuple]:
+    """One RunSummary per grid point; identical seeds across points.
+
+    Each point varies one setting of `params` or of the base coordinator
+    set `coords` (defaults when None) and keeps the others.
+    """
     if not grid:
         raise errors.InvalidArgument("ablation grid is empty")
+    base = coords if coords is not None else CoordinatorSet()
     rows = []
     for point in grid:
+        # a fresh set per point: pretraining initialises and trains its features
+        p, c = params, replace(base, features=None)
         if kind == "lambda_sweep":
             p = replace(params, pretrain_cfg=replace(params.pretrain_cfg,
                                                      lam=float(point)))
-            coords = CoordinatorSet()
         elif kind == "inter_edges":
-            p = params
-            coords = CoordinatorSet(inter_mode=str(point))
+            mode, threshold = parse_inter_mode(str(point))
+            c = replace(c, inter_mode=mode, dynamic_threshold=threshold)
         elif kind == "coordinator_count":
-            p = params
-            coords = CoordinatorSet(per_dataset=int(point))
+            c = replace(c, per_dataset=int(point))
         else:
             raise errors.InvalidArgument(f"unknown ablation kind {kind!r}")
-        summary, _ = _pretrained_summary(sources, target, p, coords, "gcope")
-        rows.append((point, summary))
+        rows.append((point, _pretrained_summary(sources, target, p, c, "gcope")))
     return rows
 
 

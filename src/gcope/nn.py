@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from copy import deepcopy
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -73,12 +75,7 @@ class GcnEncoder:
         return h
 
     def copy(self) -> "GcnEncoder":
-        clone = GcnEncoder.__new__(GcnEncoder)
-        clone.dims = list(self.dims)
-        clone.activation = self.activation
-        clone.weights = [Param(w.data.copy(), name=w.name) for w in self.weights]
-        clone.biases = [Param(b.data.copy(), name=b.name) for b in self.biases]
-        return clone
+        return deepcopy(self)
 
 
 class FagcnEncoder:
@@ -135,13 +132,7 @@ class FagcnEncoder:
         return h
 
     def copy(self) -> "FagcnEncoder":
-        clone = FagcnEncoder.__new__(FagcnEncoder)
-        clone.in_dim, clone.hidden = self.in_dim, self.hidden
-        clone.num_layers, clone.eps = self.num_layers, self.eps
-        clone.w_in = Param(self.w_in.data.copy(), name=self.w_in.name)
-        clone.b_in = Param(self.b_in.data.copy(), name=self.b_in.name)
-        clone.gates = [Param(g.data.copy(), name=g.name) for g in self.gates]
-        return clone
+        return deepcopy(self)
 
 
 def make_encoder(kind: str, in_dim: int, hidden: int = 100, num_layers: int = 2,
@@ -175,12 +166,7 @@ class MlpDecoder:
         return (h @ self.w1 + self.b1).relu() @ self.w2 + self.b2
 
     def copy(self) -> "MlpDecoder":
-        clone = MlpDecoder.__new__(MlpDecoder)
-        clone.d_emb, clone.hidden, clone.d_out = self.d_emb, self.hidden, self.d_out
-        for attr in ("w1", "b1", "w2", "b2"):
-            p = getattr(self, attr)
-            setattr(clone, attr, Param(p.data.copy(), name=p.name))
-        return clone
+        return deepcopy(self)
 
 
 class Adam:

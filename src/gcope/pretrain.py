@@ -49,8 +49,6 @@ class PretrainConfig:
     augmentations: tuple = (AugmentationSpec("node_drop", 0.2),
                             AugmentationSpec("attr_mask", 0.2))
     readout: str = "mean"
-    early_stop_rel: float = 0.0         # 0 disables; else stop when relative
-    early_stop_window: int = 10         # loss change < early_stop_rel over window
 
     def __post_init__(self):
         if self.objective not in ("graphcl", "simgrace"):
@@ -228,7 +226,7 @@ class PretrainResult:
 def pretrain(graphs: list[GraphDataset], proj_cfg: ProjectionConfig,
              coords: CoordinatorSet | None, enc_kind: str, cfg: PretrainConfig,
              hidden: int = 100, num_layers: int = 2, fagcn_eps: float = 0.3,
-             activation: str = "relu", progress=None) -> PretrainResult:
+             activation: str = "relu") -> PretrainResult:
     if not graphs:
         raise errors.EmptyDatasetList("need at least one source graph")
     projected = project_all(graphs, proj_cfg)
@@ -247,14 +245,7 @@ def pretrain(graphs: list[GraphDataset], proj_cfg: ProjectionConfig,
     for epoch in range(cfg.epochs):
         if coords is not None and coords.inter_mode == "dynamic":
             jg = refresh_dynamic_edges(jg, coords)
-        report = pretrain_epoch(jg, encoder, decoder, cfg, epoch, opt)
-        history.append(report)
-        if progress is not None:
-            progress(report)
-        if cfg.early_stop_rel > 0 and len(history) > cfg.early_stop_window:
-            prev = history[-1 - cfg.early_stop_window].total
-            if prev != 0 and abs(history[-1].total - prev) / abs(prev) < cfg.early_stop_rel:
-                break
+        history.append(pretrain_epoch(jg, encoder, decoder, cfg, epoch, opt))
     return PretrainResult(encoder=encoder, decoder=decoder, coords=coords,
                           joint_graph=jg, history=history)
 

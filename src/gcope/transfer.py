@@ -59,9 +59,6 @@ class MetricReport:
     auc: float
     f1: float
 
-    def as_dict(self):
-        return {"acc": self.acc, "auc": self.auc, "f1": self.f1}
-
 
 def build_fewshot_task(g: GraphDataset, k_shot: int, hops: int = 2,
                        seed: int = 0) -> FewShotTask:

@@ -65,7 +65,8 @@ def dense_joint_adjacency(adjacencies, sizes, c, inter_mode, self_loops):
     for blk, sz in zip(adjacencies, sizes):
         a[ofs:ofs + sz, ofs:ofs + sz] = np.asarray(blk.todense())
         ofs += sz
-    # indicator rows: coordinator t of dataset i covers exactly block i
+    # indicator rows: coordinator t of dataset i covers exactly block i (the
+    # paper's prose semantics; its printed index form is off by one block)
     for i in range(m):
         lo = sum(sizes[:i])
         for t in range(c):

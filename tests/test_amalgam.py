@@ -6,8 +6,7 @@ import scipy.sparse as sp
 
 from gcope import errors
 from gcope.amalgam import (CoordinatorSet, bfs_ball, build_joint_graph,
-                           r_a_indicator, refresh_dynamic_edges,
-                           sample_joint_batch)
+                           refresh_dynamic_edges, sample_joint_batch)
 from gcope.projection import ProjectedFeatures
 
 from oracles import dense_joint_adjacency
@@ -31,16 +30,6 @@ def fake_adjacencies(sizes, seed=0):
                     a[u, v] = a[v, u] = 1
         out.append(sp.csr_matrix(a))
     return out
-
-
-def test_r_a_indicator_blocks():
-    assert r_a_indicator(1, 3, [3, 2]) == 1
-    assert r_a_indicator(1, 2, [3, 2]) == 0
-    assert all(r_a_indicator(0, j, [4]) == 1 for j in range(4))
-    with pytest.raises(errors.IndexOutOfRange):
-        r_a_indicator(0, 5, [3, 2])
-    with pytest.raises(errors.IndexOutOfRange):
-        r_a_indicator(2, 0, [3, 2])
 
 
 def adjacency_row(jg, i):

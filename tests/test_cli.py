@@ -104,15 +104,38 @@ def test_inspect_prints_manifest_and_dataset(tmp_path, capsys):
     assert run("inspect") == EXIT_USAGE
 
 
-def test_transfer_dimension_mismatch_is_usage_error(tmp_path):
+def test_inspect_malformed_checkpoint_is_runtime_error(tmp_path, capsys):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(b"GCOPEv1\n{not json\n")
+    assert run("inspect", "--ckpt", str(bad)) == EXIT_RUNTIME
+    assert "IoError" in capsys.readouterr().err
+
+
+def transfer_with(tmp_path, *flags):
     ckpt = pretrain(tmp_path)
     tgt = synth(tmp_path / "t", seed=5)
-    code = run("transfer", "--ckpt", str(ckpt), "--target", tgt,
-               "--proj-dim", "7", "--hidden", "8",
-               "--transfer-epochs", "3", "--shots", "1", "--repeats", "1")
-    assert code == EXIT_USAGE
+    return run("transfer", "--ckpt", str(ckpt), "--target", tgt,
+               "--out", str(tmp_path / "m.csv"), "--proj-dim", "5", "--hidden", "8",
+               "--transfer-epochs", "3", "--shots", "1", "--repeats", "1", *flags)
 
 
+def test_transfer_dimension_mismatch_is_usage_error(tmp_path, capsys):
+    assert transfer_with(tmp_path, "--proj-dim", "7") == EXIT_USAGE
+    assert "checkpoint d_p=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, key", [
+    (("--hidden", "64"), "hidden"),
+    (("--enc-kind", "fagcn"), "enc_kind"),
+], ids=["hidden", "enc_kind"])
+def test_transfer_architecture_mismatch_is_usage_error(tmp_path, capsys, flags, key):
+    assert transfer_with(tmp_path, *flags) == EXIT_USAGE
+    assert f"checkpoint {key}=" in capsys.readouterr().err
+
+
+# transfer settings differ from the pretraining run's defaults; only the
+# architecture is checked against the checkpoint, so nothing warns
+@pytest.mark.filterwarnings("error::UserWarning")
 def test_full_pipeline_reruns_byte_identical(tmp_path):
     a = synth(tmp_path / "a", seed=1)
     b = synth(tmp_path / "b", seed=2)

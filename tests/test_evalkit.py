@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gcope import errors
+from gcope import errors, evalkit
 from gcope.amalgam import CoordinatorSet, build_joint_graph
 from gcope.evalkit import (ExperimentParams, RunSummary, improvement_pct,
                            run_ablation, run_gcope, run_isolated_pretrain,
@@ -147,6 +147,31 @@ def test_coordinator_count_ablation_node_totals():
     for c in (1, 3, 5):
         jg = build_joint_graph(proj, adjs, CoordinatorSet(per_dataset=c))
         assert jg.num_nodes == n + 2 * c
+
+
+def test_ablation_points_vary_one_field_of_the_base_coordinators(monkeypatch):
+    seen = []
+    real_pretrain = evalkit.pretrain
+
+    def spy(sources, proj_cfg, coords, enc_kind, cfg, **kw):
+        seen.append((coords.per_dataset, coords.inter_mode, coords.dynamic_threshold,
+                     coords.self_loops, coords.features is None, cfg.lam))
+        return real_pretrain(sources, proj_cfg, coords, enc_kind, cfg, **kw)
+
+    monkeypatch.setattr(evalkit, "pretrain", spy)
+    sources, target = tiny_data()
+    params = tiny_params(repeats=1)
+    base = CoordinatorSet(per_dataset=2, inter_mode="none", self_loops=False)
+    run_ablation("lambda_sweep", [0.5], sources, target, params, base)
+    rows = run_ablation("inter_edges", ["full", "dynamic:0.5"], sources, target,
+                        params, base)
+    run_ablation("coordinator_count", [3], sources, target, params, base)
+    assert [p for p, _ in rows] == ["full", "dynamic:0.5"]
+    assert seen == [(2, "none", 0.0, False, True, 0.5),
+                    (2, "full", 0.0, False, True, 0.2),
+                    (2, "dynamic", 0.5, False, True, 0.2),
+                    (3, "none", 0.0, False, True, 0.2)]
+    assert base.features is None
 
 
 def test_unknown_ablation_kind_and_empty_grid():

@@ -183,13 +183,32 @@ def test_readout_modes_and_errors():
         graph_readout(emb, [])
 
 
+def check_copy_independent(model, forward, out_shape):
+    x = Tensor(np.random.default_rng(0).normal(size=(5, 4)).astype(np.float32))
+    out = forward(model, x)
+    assert out.data.shape == out_shape
+    clone = model.copy()
+    assert [p.name for p in clone.params()] == [p.name for p in model.params()]
+    for c, p in zip(clone.params(), model.params()):
+        assert c is not p
+        assert c.data.dtype == p.data.dtype and c.data.shape == p.data.shape
+        assert c.data.tobytes() == p.data.tobytes()
+    assert forward(clone, x).data.tobytes() == out.data.tobytes()
+    before = [p.data.copy() for p in model.params()]
+    for c in clone.params():
+        c.data[...] = 7.0
+    for p, b in zip(model.params(), before):
+        assert p.data.tobytes() == b.tobytes()
+
+
 def test_decoder_shapes_and_copy_independent():
-    dec = MlpDecoder(4, 8, 3, seed=0)
-    out = dec.forward(Tensor(np.zeros((5, 4), dtype=np.float32)))
-    assert out.data.shape == (5, 3)
-    clone = dec.copy()
-    clone.w1.data[:] = 0.0
-    assert not np.array_equal(clone.w1.data, dec.w1.data)
+    check_copy_independent(MlpDecoder(4, 8, 3, seed=0), lambda m, x: m.forward(x), (5, 3))
+
+
+@pytest.mark.parametrize("kind", ["gcn", "fagcn"])
+def test_encoder_copy_independent(kind):
+    check_copy_independent(make_encoder(kind, 4, hidden=8, seed=0),
+                           lambda m, x: m.forward(x, ring_adjacency(5)), (5, 8))
 
 
 def test_make_encoder_dispatch():
