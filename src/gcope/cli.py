@@ -169,11 +169,11 @@ def cmd_transfer(args) -> int:
 
 
 def _experiment_params(r: dict) -> ExperimentParams:
-    return ExperimentParams(enc_kind=r["enc_kind"], hidden=r["hidden"],
-                            num_layers=r["num_layers"], fagcn_eps=r["fagcn_eps"],
-                            k_shot=r["shots"], hops=r["hops"], repeats=r["repeats"],
-                            base_seed=r["seed"], proj_cfg=_proj_cfg(r),
-                            pretrain_cfg=_pretrain_cfg(r),
+    arch = _architecture(r)
+    del arch["d_p"]  # proj_cfg carries it
+    return ExperimentParams(**arch, k_shot=r["shots"], hops=r["hops"],
+                            repeats=r["repeats"], base_seed=r["seed"],
+                            proj_cfg=_proj_cfg(r), pretrain_cfg=_pretrain_cfg(r),
                             transfer_cfg=_transfer_cfg(r))
 
 

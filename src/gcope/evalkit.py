@@ -40,9 +40,11 @@ class RunSummary:
 
 @dataclass
 class ExperimentParams:
+    # the encoder architecture; proj_cfg.d_p is its input width
     enc_kind: str = "gcn"
     hidden: int = 100
     num_layers: int = 2
+    activation: str = "relu"
     fagcn_eps: float = 0.3
     k_shot: int = 1
     hops: int = 2
@@ -81,7 +83,8 @@ def run_supervised(target: GraphDataset, params: ExperimentParams) -> RunSummary
     def fresh(seed):
         return make_encoder(params.enc_kind, params.proj_cfg.d_p,
                             hidden=params.hidden, num_layers=params.num_layers,
-                            eps=params.fagcn_eps, seed=seed)
+                            activation=params.activation, eps=params.fagcn_eps,
+                            seed=seed)
     return _downstream_repeats(fresh, target, params, "supervised")
 
 
@@ -89,7 +92,8 @@ def _pretrained_summary(sources, target, params: ExperimentParams,
                         coords: CoordinatorSet | None, scheme: str) -> RunSummary:
     result = pretrain(sources, params.proj_cfg, coords, params.enc_kind,
                       params.pretrain_cfg, hidden=params.hidden,
-                      num_layers=params.num_layers, fagcn_eps=params.fagcn_eps)
+                      num_layers=params.num_layers, fagcn_eps=params.fagcn_eps,
+                      activation=params.activation)
     # finetune and prompt_transfer train a copy, so every repeat starts
     # from the same pretrained weights
     return _downstream_repeats(lambda _seed: result.encoder, target, params, scheme)

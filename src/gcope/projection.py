@@ -1,8 +1,7 @@
 """Truncated-SVD feature projection onto a shared target dimension.
 
-Implemented without external solvers: orthogonal (block power) iteration
-on the Gram matrix X^T X with modified Gram-Schmidt re-orthogonalization,
-finished by a Rayleigh-Ritz rotation (small cyclic Jacobi). Output is the
+The right singular vectors are the top eigenvectors of the d x d Gram
+matrix X^T X, taken from one symmetric eigendecomposition. Output is the
 score matrix U_k S_k so relative feature energy across nodes survives the
 projection. Columns beyond the available rank are zero-padded.
 """
@@ -20,15 +19,11 @@ from .graphstore import GraphDataset
 @dataclass
 class ProjectionConfig:
     d_p: int = 100
-    max_power_iterations: int = 300
-    tolerance: float = 1e-9
     l2_normalize: bool = False
 
     def __post_init__(self):
         if self.d_p < 1:
             raise errors.InvalidArgument("d_p must be >= 1")
-        if self.tolerance <= 0:
-            raise errors.InvalidArgument("tolerance must be positive")
 
 
 @dataclass
@@ -37,49 +32,6 @@ class ProjectedFeatures:
     singular_values: np.ndarray     # nonincreasing, length min(d_p, d, n)
     basis: np.ndarray = None        # d x k right singular vectors, float64
     source_name: str = ""
-
-
-def _mgs(q: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt; columns that collapse become exact zeros."""
-    q = q.copy()
-    k = q.shape[1]
-    for i in range(k):
-        nrm = np.linalg.norm(q[:, i])
-        if nrm > 1e-300:
-            q[:, i] /= nrm
-            if i + 1 < k:
-                q[:, i + 1:] -= np.outer(q[:, i], q[:, i] @ q[:, i + 1:])
-        else:
-            q[:, i] = 0.0
-    return q
-
-
-def _jacobi_small(b: np.ndarray, sweeps: int = 60, tol: float = 1e-14):
-    """Cyclic Jacobi for the small symmetric Ritz matrix. Returns (eigvals, V)."""
-    a = b.copy()
-    k = a.shape[0]
-    v = np.eye(k)
-    for _ in range(sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off < tol * max(np.linalg.norm(a, "fro"), 1e-300):
-            break
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                if a[p, q] == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * a[p, q])
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(k)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                v = v @ rot
-    return np.diag(a).copy(), v
 
 
 def svd_project(x: np.ndarray, cfg: ProjectionConfig) -> ProjectedFeatures:
@@ -91,38 +43,10 @@ def svd_project(x: np.ndarray, cfg: ProjectionConfig) -> ProjectedFeatures:
     n, d = x.shape
     k = min(cfg.d_p, d, n)
 
-    c = x.T @ x  # d x d Gram matrix
-    scale = max(np.abs(c).max(), 1e-300)
-    cn = c / scale
-    # squaring accelerates separation of clustered eigenvalues
-    c2 = cn @ cn
-    c4 = c2 @ c2
-
-    rng = np.random.default_rng(0xC0FFEE)
-    q = _mgs(rng.standard_normal((d, k)))
-    resid = np.inf
-    converged = False
-    ref = max(np.linalg.norm(cn, "fro"), 1e-300)
-    for _ in range(cfg.max_power_iterations):
-        q = _mgs(c4 @ q)
-        cq = cn @ q
-        b = q.T @ cq
-        resid = np.linalg.norm(cq - q @ b, "fro") / ref
-        if resid < cfg.tolerance:
-            converged = True
-            break
-    if not converged:
-        raise errors.ConvergenceFailure(
-            f"orthogonal iteration residual {resid:.3e} > {cfg.tolerance:.0e} "
-            f"after {cfg.max_power_iterations} iterations")
-
-    lam, rot = _jacobi_small(b)
-    q = q @ rot
-    lam = np.maximum(lam * scale, 0.0)
-    order = np.argsort(-lam, kind="stable")
-    lam = lam[order]
-    q = q[:, order]
-    sigma = np.sqrt(lam)
+    lam, vecs = np.linalg.eigh(x.T @ x)  # Gram matrix eigenvalues, ascending
+    order = np.argsort(-lam, kind="stable")[:k]
+    sigma = np.sqrt(np.maximum(lam[order], 0.0))
+    q = vecs[:, order]
 
     scores = x @ q  # = U_k S_k
     # sign convention: largest-magnitude entry of each left singular vector positive

@@ -170,6 +170,22 @@ def test_eval_emits_summary_with_improvement_row(tmp_path):
     assert os.path.exists(str(tmp_path / "summary.md"))
 
 
+def test_eval_trains_the_configured_activation(tmp_path):
+    a = synth(tmp_path / "a", seed=1)
+    b = synth(tmp_path / "b", seed=2)
+    tgt = synth(tmp_path / "t", seed=5)
+    texts = []
+    for act in ("relu", "tanh"):
+        out = tmp_path / f"{act}.csv"
+        code = run("eval", "--sources", f"{a},{b}", "--target", tgt,
+                   "--out", str(out), *PRETRAIN_FLAGS, "--enc-kind", "gcn",
+                   "--activation", act, "--transfer-epochs", "3", "--shots", "1",
+                   "--repeats", "2")
+        assert code == EXIT_OK
+        texts.append(out.read_text())
+    assert texts[0] != texts[1]
+
+
 def test_ablate_lambda_sweep_csv(tmp_path):
     a = synth(tmp_path / "a", seed=1)
     b = synth(tmp_path / "b", seed=2)

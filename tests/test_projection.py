@@ -102,3 +102,24 @@ def test_project_all_singleton_equals_svd_project():
 def test_project_all_empty_list():
     with pytest.raises(errors.EmptyDatasetList):
         project_all([], ProjectionConfig(d_p=2))
+
+
+# synth_dataset(1000, 4, 64, h, s) inputs whose Gram matrix has lambda_33 /
+# lambda_32 between 0.97 and 1, a gap that iterative solvers separate slowly
+CLUSTERED_SPECTRUM = ([(0.9, s) for s in (2, 3, 4, 10, 11, 15, 17)]
+                      + [(0.2, s) for s in (3, 7, 11, 13, 15, 17, 18)]
+                      + [(0.85, s) for s in (2, 5, 9, 10, 15, 16, 17)])
+ORACLE_CHECKED = {(0.9, 2), (0.2, 3), (0.85, 2)}   # the Jacobi oracle is slow at d=64
+
+
+@pytest.mark.parametrize("homophily,seed", CLUSTERED_SPECTRUM)
+def test_clustered_spectrum_projects(homophily, seed):
+    x = synth_dataset(1000, 4, 64, homophily, seed).features.astype(np.float64)
+    pf = svd_project(x, ProjectionConfig(d_p=32))
+    assert (np.diff(pf.singular_values) <= 0).all()
+    u = pf.matrix.astype(np.float64) / pf.singular_values
+    assert np.abs(u.T @ u - np.eye(32)).max() < 1e-5
+    if (homophily, seed) in ORACLE_CHECKED:
+        xk = (x @ pf.basis) @ pf.basis.T
+        assert np.linalg.norm(x - xk) == pytest.approx(
+            svd_truncation_error(x, 32), rel=1e-9)
