@@ -1,8 +1,9 @@
 """Joint multi-dataset graph with coordinator virtual nodes.
 
-Ordinary nodes of all datasets come first (block-diagonal adjacency),
-followed by the coordinators. Each coordinator is wired to every node of
-its dataset; coordinators are mutually wired according to `inter_mode`.
+Ordinary nodes of all datasets come first, followed by the coordinators, so
+the adjacency is [[block_diag(sources), X], [X^T, C]]: X wires each
+coordinator to every node of its dataset, and C wires coordinators to each
+other according to `inter_mode`.
 Coordinator features are learnable parameters shared with the training
 graph via `feature_tensor`.
 """
@@ -51,8 +52,6 @@ class JointGraph:
     adjacency: sp.csr_matrix            # (N + M*c) x (N + M*c), symmetric binary
     base_features: np.ndarray           # N x d_p, projected ordinary-node features
     coords: CoordinatorSet | None
-    dataset_ranges: list[tuple[int, int]]
-    coordinator_ranges: list[tuple[int, int]]
     origin: np.ndarray                  # per-node dataset index (coordinators too)
 
     @property
@@ -90,78 +89,51 @@ def build_joint_graph(projected: list[ProjectedFeatures],
         if p.matrix.shape[1] != d_p:
             raise errors.DimensionMismatch(
                 f"{p.source_name}: {p.matrix.shape[1]} columns, expected {d_p}")
-    m = len(projected)
     sizes = [p.matrix.shape[0] for p in projected]
-    n = sum(sizes)
-    c = coords.per_dataset if coords is not None else 0
-    total = n + m * c
-
-    base = np.vstack([p.matrix for p in projected]).astype(np.float32)
-
-    rows, cols = [], []
-    # block-diagonal source adjacencies
-    ofs = 0
     for a, sz in zip(adjacencies, sizes):
         if a.shape != (sz, sz):
             raise errors.DimensionMismatch("adjacency shape does not match features")
-        coo = a.tocoo()
-        rows.append(coo.row + ofs)
-        cols.append(coo.col + ofs)
-        ofs += sz
-    # coordinator cross connections: coordinator (i, t) <-> every node of dataset i
-    dataset_ranges = []
-    lo = 0
-    for sz in sizes:
-        dataset_ranges.append((lo, lo + sz))
-        lo += sz
-    coordinator_ranges = []
-    for i in range(m):
-        coordinator_ranges.append((n + i * c, n + (i + 1) * c))
-    for i in range(m):
-        lo, hi = dataset_ranges[i]
-        for t in range(c):
-            cid = n + i * c + t
-            block = np.arange(lo, hi)
-            rows.append(np.full(block.size, cid))
-            cols.append(block)
-            rows.append(block)
-            cols.append(np.full(block.size, cid))
-    if coords is not None and c > 0:
+    m, n = len(sizes), sum(sizes)
+    c = coords.per_dataset if coords is not None else 0
+    linked = np.zeros((0, 0), dtype=bool)
+    if c > 0:
         if coords.features is None:
             coords.init_features(m, d_p, seed=seed)
         if coords.features.data.shape != (m * c, d_p):
             raise errors.DimensionMismatch(
                 f"coordinator features shape {coords.features.data.shape}, "
                 f"expected {(m * c, d_p)}")
-        cr, cc = _coordinator_block(coords, n, m * c)
-        rows.append(cr)
-        cols.append(cc)
+        linked = _coordinator_block(coords)
+    origin = np.concatenate([np.repeat(np.arange(m), sizes), np.repeat(np.arange(m), c)])
+    # X pairs node v with coordinators origin[v]*c, ..., origin[v]*c + c - 1
+    x = np.vstack([np.repeat(np.arange(n), c),
+                   n + (origin[:n, None] * c + np.arange(c)).ravel()])
+    sources = sp.block_diag(adjacencies, format="coo")
+    static = np.hstack([np.vstack([sources.row, sources.col]), x, x[::-1]])
+    base = np.vstack([p.matrix for p in projected]).astype(np.float32)
+    return JointGraph(adjacency=_joint_adjacency(static, linked, n),
+                      base_features=base, coords=coords, origin=origin)
 
-    origin = np.empty(total, dtype=np.int64)
-    for i, (lo, hi) in enumerate(dataset_ranges):
-        origin[lo:hi] = i
-    for i, (lo, hi) in enumerate(coordinator_ranges):
-        origin[lo:hi] = i
 
-    rows = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-    cols = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
-    adj = sp.coo_matrix((np.ones(rows.size, dtype=np.float32), (rows, cols)),
-                        shape=(total, total)).tocsr()
+def _joint_adjacency(static: np.ndarray, linked: np.ndarray, n: int) -> sp.csr_matrix:
+    """Canonical binary CSR of the static (row, col) pairs plus the coordinator
+    block `linked` from node n on; a pair stored more than once is one edge."""
+    pairs = np.hstack([static, n + np.argwhere(linked).T])
+    total = n + len(linked)
+    adj = sp.csr_matrix((np.ones(pairs.shape[1], dtype=np.float32), tuple(pairs)),
+                        shape=(total, total))
     adj.data[:] = 1.0
-    return JointGraph(adjacency=adj, base_features=base, coords=coords,
-                      dataset_ranges=dataset_ranges,
-                      coordinator_ranges=coordinator_ranges, origin=origin)
+    return adj
 
 
-def _coordinator_block(coords: CoordinatorSet, n: int, mc: int):
-    """Row/col indices (global) of coordinator-coordinator edges."""
-    rows, cols = [], []
+def _coordinator_block(coords: CoordinatorSet) -> np.ndarray:
+    """Boolean m*c x m*c coordinator-coordinator adjacency under `inter_mode`,
+    self loops on the diagonal."""
+    mc = coords.features.data.shape[0]
     if coords.inter_mode == "full":
-        for p in range(mc):
-            for q in range(mc):
-                if p != q:
-                    rows.append(n + p)
-                    cols.append(n + q)
+        linked = np.ones((mc, mc), dtype=bool)
+    elif coords.inter_mode == "none":
+        linked = np.zeros((mc, mc), dtype=bool)
     elif coords.inter_mode == "dynamic":
         f = coords.features.data.astype(np.float64)
         nrm = np.linalg.norm(f, axis=1)
@@ -169,35 +141,24 @@ def _coordinator_block(coords: CoordinatorSet, n: int, mc: int):
         if zero.any():
             warnings.warn("zero coordinator feature vector: similarity undefined, "
                           "treated as not connected")
-        for p in range(mc):
-            for q in range(p + 1, mc):
-                if zero[p] or zero[q]:
-                    continue
-                cossim = float(f[p] @ f[q]) / (nrm[p] * nrm[q])
-                if cossim >= coords.dynamic_threshold:
-                    rows += [n + p, n + q]
-                    cols += [n + q, n + p]
-    elif coords.inter_mode != "none":
+        scale = np.where(zero, 1.0, nrm)
+        cos = (f @ f.T) / np.outer(scale, scale)
+        # decide each pair once, so the block is symmetric whatever the rounding
+        linked = np.triu((cos >= coords.dynamic_threshold) & np.outer(~zero, ~zero), 1)
+        linked |= linked.T
+    else:
         raise errors.InvalidArgument(f"unknown inter_mode {coords.inter_mode!r}")
-    if coords.self_loops:
-        for p in range(mc):
-            rows.append(n + p)
-            cols.append(n + p)
-    return (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))
+    np.fill_diagonal(linked, coords.self_loops)
+    return linked
 
 
 def refresh_dynamic_edges(jg: JointGraph, coords: CoordinatorSet) -> JointGraph:
     """Rewire coordinator-coordinator edges from current feature cosine similarity."""
     if coords.inter_mode != "dynamic":
         raise errors.InvalidArgument("refresh_dynamic_edges requires inter_mode='dynamic'")
-    n, mc = jg.num_ordinary, jg.num_coordinators
-    adj = jg.adjacency.tolil(copy=True)
-    adj[n:, n:] = 0
-    rows, cols = _coordinator_block(coords, n, mc)
-    for r, c_ in zip(rows, cols):
-        adj[r, c_] = 1.0
-    jg.adjacency = adj.tocsr()
-    jg.adjacency.eliminate_zeros()
+    n, a = jg.num_ordinary, jg.adjacency.tocoo()
+    static = np.vstack([a.row, a.col])[:, (a.row < n) | (a.col < n)]
+    jg.adjacency = _joint_adjacency(static, _coordinator_block(coords), n)
     return jg
 
 

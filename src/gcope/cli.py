@@ -107,7 +107,13 @@ def cmd_synth(args) -> int:
 
 
 def _architecture(r: dict) -> dict:
-    """The checkpoint keys that fix the encoder's shape and function."""
+    """The checkpoint keys that fix the encoder's shape and function. A key the
+    chosen encoder ignores must keep its default, or it would be recorded as
+    though it had been used."""
+    ignored = {"gcn": "fagcn_eps", "fagcn": "activation"}.get(r["enc_kind"])
+    if ignored and r[ignored] != cfgmod.SCHEMA[ignored][1]:
+        raise errors.InvalidArgument(
+            f"{ignored}={r[ignored]!r} has no effect with enc_kind={r['enc_kind']!r}")
     return {"d_p": r["proj_dim"], "enc_kind": r["enc_kind"], "hidden": r["hidden"],
             "num_layers": r["num_layers"], "activation": r["activation"],
             "fagcn_eps": r["fagcn_eps"]}
@@ -123,6 +129,7 @@ def cmd_pretrain(args) -> int:
     r = _resolved(args, _overrides_from(args))
     sources = [load_dataset(p) for p in args.sources.split(",")]
     coords = _coords(r)
+    hyper = _pretrain_hyper(r, len(sources))
     result = pretrain(sources, _proj_cfg(r), coords, r["enc_kind"],
                       _pretrain_cfg(r), hidden=r["hidden"],
                       num_layers=r["num_layers"], fagcn_eps=r["fagcn_eps"],
@@ -132,7 +139,7 @@ def cmd_pretrain(args) -> int:
     tensors += [(p.name, p.data) for p in result.decoder.params()]
     if coords.features is not None:
         tensors.append((coords.features.name, coords.features.data))
-    save_checkpoint(args.out, _pretrain_hyper(r, len(sources)), fingerprint, tensors)
+    save_checkpoint(args.out, hyper, fingerprint, tensors)
     loss_csv = args.loss_csv or args.out + ".loss.csv"
     with open(loss_csv, "w", newline="\n") as f:
         f.write("epoch,contrastive,reconstruction,total\n")

@@ -102,10 +102,9 @@ class TrainedModel:
     head_w: Param
     head_b: Param
     prompt_tokens: Param = None
-    projection: object = None      # ProjectedFeatures of the target
     readout: str = "mean"
     mode: str = "finetune"
-    subgraph_cache: dict = field(default_factory=dict)
+    subgraph_cache: dict = field(default_factory=dict)   # split node id -> subgraph
 
     def logits_for(self, sub: InducedSubgraph) -> Tensor:
         x = Tensor(sub.features)
@@ -124,84 +123,67 @@ def apply_prompt(x: Tensor, tokens: Param) -> Tensor:
     return x + weights @ tokens
 
 
-def _prepare_subgraphs(task: FewShotTask, proj_cfg: ProjectionConfig):
+def _prepare_subgraphs(task: FewShotTask, proj_cfg: ProjectionConfig) -> dict:
     """Project target features to d_p and induce subgraphs for all split nodes."""
-    proj = svd_project(task.target.features, proj_cfg)
-    feats = proj.matrix
+    feats = svd_project(task.target.features, proj_cfg).matrix
     subs = {}
     for ids in (task.train_ids, task.val_ids, task.test_ids):
         for node in ids:
             subs[int(node)] = induce_subgraph(task.target, int(node), task.hops,
                                               features=feats)
-    return proj, subs
+    return subs
 
 
 def _train_head_loop(model: TrainedModel, task: FewShotTask, cfg: TransferConfig,
-                     trainable: list[Param], subs: dict) -> TrainedModel:
+                     trainable: list[Param]) -> TrainedModel:
+    """Train `trainable` and keep the values of the best validation epoch."""
     opt = Adam(trainable, lr=cfg.learning_rate)
     train_labels = task.target.labels[task.train_ids]
     best = None
     best_val = -1.0
     since_best = 0
     for epoch in range(cfg.epochs):
-        logit_rows = [model.logits_for(subs[int(n)]) for n in task.train_ids]
+        logit_rows = [model.logits_for(model.subgraph_cache[int(n)])
+                      for n in task.train_ids]
         logits = concat_rows(logit_rows)
         loss = softmax_cross_entropy(logits, train_labels)
         if not np.isfinite(loss.data):
             raise errors.Diverged(f"non-finite loss at epoch {epoch}")
         loss.backward()
         opt.step()
-        val_acc = evaluate_model(model, task, "val", subs=subs).acc
+        val_acc = evaluate_model(model, task, "val").acc
         if val_acc > best_val:
             best_val = val_acc
-            best = _snapshot(model)
+            best = [p.data.copy() for p in trainable]
             since_best = 0
         else:
             since_best += 1
             if since_best >= cfg.patience:
                 break
     if best is not None:
-        _restore(model, best)
-    model.subgraph_cache = subs
+        for p, data in zip(trainable, best):
+            p.data = data
     return model
-
-
-def _snapshot(model: TrainedModel) -> dict:
-    snap = {"head_w": model.head_w.data.copy(), "head_b": model.head_b.data.copy(),
-            "enc": [p.data.copy() for p in model.encoder.params()]}
-    if model.prompt_tokens is not None:
-        snap["tokens"] = model.prompt_tokens.data.copy()
-    return snap
-
-
-def _restore(model: TrainedModel, snap: dict):
-    model.head_w.data = snap["head_w"]
-    model.head_b.data = snap["head_b"]
-    for p, d in zip(model.encoder.params(), snap["enc"]):
-        p.data = d
-    if model.prompt_tokens is not None:
-        model.prompt_tokens.data = snap["tokens"]
 
 
 def finetune(encoder, task: FewShotTask, cfg: TransferConfig,
              proj_cfg: ProjectionConfig) -> TrainedModel:
     """Tune the whole encoder plus a fresh zero-initialized linear head."""
     enc = encoder.copy()
-    proj, subs = _prepare_subgraphs(task, proj_cfg)
     d_emb = enc.out_dim
     head_w = Param(np.zeros((d_emb, task.c_way), dtype=np.float32), name="head.w")
     head_b = Param(np.zeros(task.c_way, dtype=np.float32), name="head.b")
     model = TrainedModel(encoder=enc, head_w=head_w, head_b=head_b,
-                         projection=proj, readout=cfg.readout, mode="finetune")
+                         readout=cfg.readout, mode="finetune",
+                         subgraph_cache=_prepare_subgraphs(task, proj_cfg))
     trainable = enc.params() + [head_w, head_b]
-    return _train_head_loop(model, task, cfg, trainable, subs)
+    return _train_head_loop(model, task, cfg, trainable)
 
 
 def prompt_transfer(encoder, task: FewShotTask, cfg: TransferConfig,
                     proj_cfg: ProjectionConfig) -> TrainedModel:
     """Freeze the encoder; learn prompt tokens plus a linear head."""
     enc = encoder.copy()   # frozen copy: its params are never given to the optimizer
-    proj, subs = _prepare_subgraphs(task, proj_cfg)
     d_emb = enc.out_dim
     d_p = proj_cfg.d_p
     tokens = Param(np.zeros((cfg.prompt_tokens, d_p), dtype=np.float32),
@@ -209,10 +191,10 @@ def prompt_transfer(encoder, task: FewShotTask, cfg: TransferConfig,
     head_w = Param(np.zeros((d_emb, task.c_way), dtype=np.float32), name="head.w")
     head_b = Param(np.zeros(task.c_way, dtype=np.float32), name="head.b")
     model = TrainedModel(encoder=enc, head_w=head_w, head_b=head_b,
-                         prompt_tokens=tokens, projection=proj,
-                         readout=cfg.readout, mode="prompt")
+                         prompt_tokens=tokens, readout=cfg.readout, mode="prompt",
+                         subgraph_cache=_prepare_subgraphs(task, proj_cfg))
     trainable = [tokens, head_w, head_b]
-    return _train_head_loop(model, task, cfg, trainable, subs)
+    return _train_head_loop(model, task, cfg, trainable)
 
 
 def trainable_param_count(model: TrainedModel) -> int:
@@ -276,29 +258,25 @@ def macro_ovr_auc(y_true: np.ndarray, scores: np.ndarray) -> float:
 
 def predict_scores(model: TrainedModel, task: FewShotTask,
                    ids: np.ndarray, subs: dict = None) -> np.ndarray:
+    """Logits of split nodes `ids` from their induced subgraphs in `subs`
+    (default: the model's `subgraph_cache`, built for `task`'s splits)."""
+    subs = model.subgraph_cache if subs is None else subs
     rows = []
     for node in ids:
-        node = int(node)
-        if subs is not None and node in subs:
-            sub = subs[node]
-        else:
-            sub = induce_subgraph(task.target, node, task.hops,
-                                  features=model.projection.matrix)
-        rows.append(model.logits_for(sub).data.reshape(-1))
+        if int(node) not in subs:
+            raise errors.IndexOutOfRange(f"node {int(node)} is in no split of the task")
+        rows.append(model.logits_for(subs[int(node)]).data.reshape(-1))
     return np.vstack(rows)
 
 
-def evaluate_model(model: TrainedModel, task: FewShotTask, split: str,
-                   subs: dict = None) -> MetricReport:
+def evaluate_model(model: TrainedModel, task: FewShotTask, split: str) -> MetricReport:
     ids = {"val": task.val_ids, "test": task.test_ids,
            "train": task.train_ids}.get(split)
     if ids is None:
         raise errors.InvalidArgument(f"unknown split {split!r}")
     if ids.size == 0:
         raise errors.EmptySplit(f"split {split!r} is empty")
-    if subs is None:
-        subs = model.subgraph_cache
-    scores = predict_scores(model, task, ids, subs=subs)
+    scores = predict_scores(model, task, ids)
     y_true = task.target.labels[ids]
     y_pred = scores.argmax(axis=1)
     return MetricReport(acc=accuracy(y_true, y_pred),

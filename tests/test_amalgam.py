@@ -68,6 +68,43 @@ def test_exhaustive_dense_oracle_sweep():
                         (m, sizes, c, inter)
 
 
+def bruteforce_dynamic_adjacency(adjs, sizes, c, features, threshold, self_loops):
+    """The "none" oracle plus every coordinator pair whose cosine, computed
+    pair by pair, reaches the threshold; a zero vector links to nothing."""
+    want = dense_joint_adjacency(adjs, sizes, c, "none", self_loops)
+    n = sum(sizes)
+    f = features.astype(np.float64)
+    for p, q in itertools.permutations(range(f.shape[0]), 2):
+        norms = np.linalg.norm(f[p]) * np.linalg.norm(f[q])
+        if norms > 0 and f[p] @ f[q] / norms >= threshold:
+            want[n + p, n + q] = 1
+    return want
+
+
+def test_exhaustive_dense_oracle_sweep_dynamic():
+    rng = np.random.default_rng(11)
+    for m in range(1, 4):
+        for sizes in itertools.product([1, 2, 3], repeat=m):
+            for c, thr, loops in itertools.product((1, 2), (-1.0, 0.0, 0.3),
+                                                   (True, False)):
+                sizes = list(sizes)
+                adjs = fake_adjacencies(sizes, seed=m)
+                coords = CoordinatorSet(per_dataset=c, inter_mode="dynamic",
+                                        dynamic_threshold=thr, self_loops=loops)
+                jg = build_joint_graph(fake_projected(sizes), adjs, coords)
+                want = bruteforce_dynamic_adjacency(adjs, sizes, c,
+                                                    coords.features.data, thr, loops)
+                assert np.array_equal(jg.adjacency.toarray(), want), \
+                    ("build", sizes, c, thr, loops)
+                coords.features.data[:] = rng.normal(
+                    size=coords.features.data.shape).astype(np.float32)
+                jg = refresh_dynamic_edges(jg, coords)
+                want = bruteforce_dynamic_adjacency(adjs, sizes, c,
+                                                    coords.features.data, thr, loops)
+                assert np.array_equal(jg.adjacency.toarray(), want), \
+                    ("refresh", sizes, c, thr, loops)
+
+
 def test_coordinator_degree_formula():
     sizes = [4, 3, 5]
     proj = fake_projected(sizes)

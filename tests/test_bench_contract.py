@@ -1,17 +1,22 @@
-"""The benchmark's tracer wraps gcope functions by name; each must exist.
+"""The benchmark calls gcope by name; each name and keyword it uses must exist.
 
-A missing name makes `Tracer.install` raise inside the benchmark worker, so
-the benchmark run fails. This check catches it in the test suite instead.
+A missing traced name makes `Tracer.install` raise inside the benchmark
+worker, and a renamed function or keyword in `bench/workloads.py` fails the
+episode, so the benchmark run fails. These checks catch both in the test
+suite instead.
 """
 
+import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "bench_tracer", Path(__file__).parent.parent / "bench" / "tracer.py")
+BENCH = Path(__file__).parent.parent / "bench"
+
+_spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
 tracer = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tracer)
 
@@ -24,3 +29,60 @@ def test_traced_name_resolves_to_callable(name):
         assert hasattr(obj, part), f"{name}: no attribute {part!r}"
         obj = getattr(obj, part)
     assert callable(obj), name
+
+
+def _module_handles(tree) -> dict:
+    """Handle name -> gcope module, from `h = module("m")` and
+    `h1, h2 = (module(m) for m in ("m1", "m2"))` in the workloads."""
+    handles = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Assign):
+            continue
+        target, value = node.targets[0], node.value
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "module":
+            handles[target.id] = value.args[0].value
+        elif (isinstance(value, ast.GeneratorExp)
+              and getattr(value.elt.func, "id", None) == "module"):
+            names = [e.id for e in target.elts]
+            handles.update(zip(names, (e.value for e in value.generators[0].iter.elts)))
+    return handles
+
+
+WORKLOADS = ast.parse((BENCH / "workloads.py").read_text())
+HANDLES = _module_handles(WORKLOADS)
+
+
+def _uses(node_type):
+    """(node, gcope module, attribute) for each `handle.attribute` node of a
+    type (`ast.Attribute`, or `ast.Call` of such an attribute)."""
+    for node in ast.walk(WORKLOADS):
+        if not isinstance(node, node_type):
+            continue
+        attr = node.func if node_type is ast.Call else node
+        if (isinstance(attr, ast.Attribute) and isinstance(attr.value, ast.Name)
+                and attr.value.id in HANDLES):
+            mod = importlib.import_module(f"gcope.{HANDLES[attr.value.id]}")
+            yield node, mod, attr.attr
+
+
+def test_workloads_bind_every_module_handle():
+    assert {"gs", "pj", "am", "pt", "nn", "ck", "tr", "ad", "errors"} <= set(HANDLES)
+
+
+def test_workload_attributes_resolve():
+    missing = [f"{mod.__name__}.{attr} (line {node.lineno})"
+               for node, mod, attr in _uses(ast.Attribute) if not hasattr(mod, attr)]
+    assert not missing
+
+
+def test_workload_call_arguments_bind():
+    unbound = []
+    for call, mod, attr in _uses(ast.Call):
+        assert not any(isinstance(a, ast.Starred) for a in call.args)
+        assert all(k.arg is not None for k in call.keywords)
+        try:
+            inspect.signature(getattr(mod, attr)).bind_partial(
+                *[None] * len(call.args), **{k.arg: None for k in call.keywords})
+        except TypeError as e:
+            unbound.append(f"{mod.__name__}.{attr} (line {call.lineno}): {e}")
+    assert not unbound

@@ -119,6 +119,19 @@ def transfer_with(tmp_path, *flags):
                "--transfer-epochs", "3", "--shots", "1", "--repeats", "1", *flags)
 
 
+@pytest.mark.parametrize("flags, key", [
+    (("--enc-kind", "fagcn", "--activation", "tanh"), "activation"),
+    (("--enc-kind", "gcn", "--fagcn-eps", "0.5"), "fagcn_eps"),
+], ids=["activation", "fagcn_eps"])
+def test_flag_the_encoder_ignores_is_usage_error(tmp_path, capsys, flags, key):
+    a = synth(tmp_path / "a", seed=1)
+    ckpt = tmp_path / "m.ckpt"
+    assert run("pretrain", "--sources", a, "--out", str(ckpt), *PRETRAIN_FLAGS,
+               *flags) == EXIT_USAGE
+    assert f"{key}=" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
 def test_transfer_dimension_mismatch_is_usage_error(tmp_path, capsys):
     assert transfer_with(tmp_path, "--proj-dim", "7") == EXIT_USAGE
     assert "checkpoint d_p=" in capsys.readouterr().err

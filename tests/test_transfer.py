@@ -9,7 +9,8 @@ from gcope.projection import ProjectionConfig
 from gcope.transfer import (TransferConfig, accuracy, apply_prompt, binary_auc,
                             build_fewshot_task, evaluate_model, finetune,
                             induce_subgraph, macro_f1, macro_ovr_auc,
-                            prompt_transfer, trainable_param_count)
+                            predict_scores, prompt_transfer,
+                            trainable_param_count)
 
 from oracles import finite_diff_grad, floyd_warshall, rel_err
 
@@ -235,6 +236,18 @@ def test_evaluate_unknown_split_rejected():
     model = finetune(enc, task, TransferConfig(epochs=1), ProjectionConfig(d_p=8))
     with pytest.raises(errors.InvalidArgument):
         evaluate_model(model, task, "dev")
+
+
+def test_predict_scores_reads_only_the_split_subgraphs():
+    g = target_graph()
+    task = build_fewshot_task(g, 1, seed=0)
+    model = finetune(pretrained_encoder(), task, TransferConfig(epochs=1),
+                     ProjectionConfig(d_p=8))
+    ids = np.concatenate([task.train_ids, task.val_ids, task.test_ids])
+    assert predict_scores(model, task, ids).shape == (ids.size, task.c_way)
+    node = int(task.test_ids[0])
+    with pytest.raises(errors.IndexOutOfRange, match=f"node {node} "):
+        predict_scores(model, task, task.test_ids, subs={})
 
 
 def test_transfer_config_validation():
