@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from . import errors
 
-META_KEYS = ("name", "num_nodes", "num_classes", "feature_dim")
+_FILES = ("meta.tsv", "features.tsv", "edges.tsv", "labels.tsv")
 
 
 @dataclass
@@ -49,9 +49,7 @@ class GraphDataset:
                     f"{self.name}: edge endpoint outside [0, {n})")
             if (self.edges[:, 0] == self.edges[:, 1]).any():
                 raise errors.InvalidArgument(f"{self.name}: self-loop in edge list")
-            # canonical order + dedup
-            e = np.sort(self.edges, axis=1)
-            self.edges = np.unique(e, axis=0)
+            self.edges = np.unique(np.sort(self.edges, axis=1), axis=0)  # canonical, dedup
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.labels.shape != (n,):
             raise errors.ShapeMismatch(
@@ -83,12 +81,10 @@ class DatasetMeta:
 def edges_to_adjacency(edges: np.ndarray, n: int) -> sp.csr_matrix:
     """Symmetric binary CSR adjacency from an undirected edge list."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if edges.size == 0:
-        return sp.csr_matrix((n, n), dtype=np.float32)
     rows = np.concatenate([edges[:, 0], edges[:, 1]])
     cols = np.concatenate([edges[:, 1], edges[:, 0]])
-    a = sp.coo_matrix((np.ones(rows.size, dtype=np.float32), (rows, cols)), shape=(n, n))
-    a = a.tocsr()
+    a = sp.coo_matrix((np.ones(rows.size, dtype=np.float32), (rows, cols)),
+                      shape=(n, n)).tocsr()
     a.data[:] = 1.0  # collapse any duplicates to binary
     return a
 
@@ -132,17 +128,13 @@ def synth_dataset(n: int, c: int, d: int, target_h: float, seed: int,
     multi = [k for k in range(c) if by_class[k].size >= 2]
 
     target_edges = max(n // 2, int(round(avg_degree * n / 2)))
-    seen = set()
-    edges = []
+    edges = set()   # (min(u, v), max(u, v))
 
     def try_add(u, v):
-        if u == v:
-            return False
         key = (min(u, v), max(u, v))
-        if key in seen:
+        if u == v or key in edges:
             return False
-        seen.add(key)
-        edges.append(key)
+        edges.add(key)
         return True
 
     attempts = 0
@@ -163,10 +155,7 @@ def synth_dataset(n: int, c: int, d: int, target_h: float, seed: int,
         try_add(int(u), int(v))
 
     # every node needs degree >= 1
-    deg = np.zeros(n, dtype=np.int64)
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
+    deg = np.bincount(np.array(list(edges), dtype=np.int64).ravel(), minlength=n)
     for u in np.flatnonzero(deg == 0):
         intra = rng.random() < target_h
         pool = by_class[labels[u]] if intra else np.flatnonzero(labels != labels[u])
@@ -176,95 +165,76 @@ def synth_dataset(n: int, c: int, d: int, target_h: float, seed: int,
         for _ in range(100):
             v = int(pool[rng.integers(pool.size)])
             if try_add(int(u), v):
-                deg[u] += 1
-                deg[v] += 1
                 break
 
     means = rng.normal(0.0, mean_scale, size=(c, d))
     feats = means[labels] + rng.normal(0.0, 1.0, size=(n, d))
-    return GraphDataset(
-        name=f"synth_n{n}_c{c}_h{target_h:g}_s{seed}",
-        features=feats.astype(np.float32),
-        edges=np.array(sorted(edges), dtype=np.int64).reshape(-1, 2),
-        labels=labels,
-        num_classes=c,
-    )
+    return GraphDataset(name=f"synth_n{n}_c{c}_h{target_h:g}_s{seed}",
+                        features=feats.astype(np.float32),
+                        edges=np.array(sorted(edges), dtype=np.int64).reshape(-1, 2),
+                        labels=labels, num_classes=c)
 
 
 def _fmt(x: float) -> str:
+    """Shortest positional form that reads back as the same float32."""
     return np.format_float_positional(np.float32(x), unique=True, trim="0")
 
 
 def write_dataset(g: GraphDataset, dir_path: str) -> None:
     os.makedirs(dir_path, exist_ok=True)
-    with open(os.path.join(dir_path, "meta.tsv"), "w", newline="\n") as f:
-        f.write(f"name\t{g.name}\n")
-        f.write(f"num_nodes\t{g.num_nodes}\n")
-        f.write(f"num_classes\t{g.num_classes}\n")
-        f.write(f"feature_dim\t{g.feature_dim}\n")
-    with open(os.path.join(dir_path, "features.tsv"), "w", newline="\n") as f:
-        for row in g.features:
-            f.write("\t".join(_fmt(x) for x in row) + "\n")
-    with open(os.path.join(dir_path, "edges.tsv"), "w", newline="\n") as f:
-        for u, v in g.edges:
-            f.write(f"{u}\t{v}\n")
-    with open(os.path.join(dir_path, "labels.tsv"), "w", newline="\n") as f:
-        for y in g.labels:
-            f.write(f"{y}\n")
+    meta, feats, edges, labels = (os.path.join(dir_path, f) for f in _FILES)
+    with open(meta, "w", encoding="utf-8", newline="\n") as f:
+        f.write(f"name\t{g.name}\nnum_nodes\t{g.num_nodes}\n"
+                f"num_classes\t{g.num_classes}\nfeature_dim\t{g.feature_dim}\n")
+    with open(feats, "w", encoding="utf-8", newline="\n") as f:
+        f.writelines("\t".join(map(_fmt, row)) + "\n" for row in g.features)
+    np.savetxt(edges, g.edges, fmt="%d", delimiter="\t")
+    np.savetxt(labels, g.labels, fmt="%d")
+
+
+def _read_meta(path: str) -> tuple[str, int, int, int]:
+    """name, num_nodes, feature_dim and num_classes from a meta.tsv."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            meta = dict(line.partition("\t")[::2] for line in f.read().split("\n") if line)
+        return (meta["name"],
+                *(int(meta[k]) for k in ("num_nodes", "feature_dim", "num_classes")))
+    except KeyError as e:
+        raise errors.IoError(f"{path}: missing key {e}") from None
+    except ValueError as e:
+        raise errors.IoError(f"{path}: {e}") from None
+
+
+def _read_table(path: str, dtype, width: int, fixed: bool = True) -> np.ndarray:
+    """The rows of a tab-separated file as a 2-D array. Each line is stripped
+    of surrounding whitespace and skipped if that leaves nothing; without
+    other lines the table is 0 x `width`. A field that does not parse, a row
+    of another length than the first or, if `fixed`, rows not `width` fields
+    long raise IoError."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = list(filter(None, map(str.strip, f)))
+        table = (np.loadtxt(lines, dtype=dtype, delimiter="\t", ndmin=2, comments=None)
+                 if lines else np.empty((0, width), dtype))
+    except ValueError as e:
+        raise errors.IoError(f"{path}: {e}") from None
+    if fixed and table.shape[1] != width:
+        raise errors.IoError(f"{path}: {table.shape[1]} fields per line, not {width}")
+    return table
 
 
 def load_dataset(dir_path: str) -> GraphDataset:
-    for fname in ("meta.tsv", "features.tsv", "edges.tsv", "labels.tsv"):
-        if not os.path.isfile(os.path.join(dir_path, fname)):
+    """Read a dataset directory. The GraphDataset constructor validates the
+    contents; this only checks the files' format and shape against meta.tsv."""
+    paths = [os.path.join(dir_path, f) for f in _FILES]
+    for fname, path in zip(_FILES, paths):
+        if not os.path.isfile(path):
             raise errors.MissingFile(f"{dir_path}: missing {fname}")
-    meta = {}
-    with open(os.path.join(dir_path, "meta.tsv"), encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            key, _, val = line.partition("\t")
-            meta[key] = val
-    for key in META_KEYS:
-        if key not in meta:
-            raise errors.IoError(f"{dir_path}/meta.tsv: missing key {key!r}")
-    n = int(meta["num_nodes"])
-    d = int(meta["feature_dim"])
-
-    feats = np.zeros((n, d), dtype=np.float32)
-    with open(os.path.join(dir_path, "features.tsv"), encoding="utf-8") as f:
-        rows = [line.rstrip("\n") for line in f if line.strip()]
-    if len(rows) != n:
-        raise errors.ShapeMismatch(f"{dir_path}: {len(rows)} feature rows for {n} nodes")
-    for i, line in enumerate(rows):
-        vals = line.split("\t")
-        if len(vals) != d:
-            raise errors.ShapeMismatch(f"{dir_path}: row {i} has {len(vals)} values, expected {d}")
-        feats[i] = [float(v) for v in vals]
-    if not np.isfinite(feats).all():
-        raise errors.NonFiniteFeature(f"{dir_path}: non-finite feature entry")
-
-    edges = []
-    with open(os.path.join(dir_path, "edges.tsv"), encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            u, v = line.split("\t")
-            edges.append((int(u), int(v)))
-    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    if edges.size and (edges.min() < 0 or edges.max() >= n):
-        raise errors.IndexOutOfRange(f"{dir_path}: edge endpoint outside [0, {n})")
-
-    with open(os.path.join(dir_path, "labels.tsv"), encoding="utf-8") as f:
-        labels = np.array([int(line.strip()) for line in f if line.strip()], dtype=np.int64)
-    if labels.shape[0] != n:
-        raise errors.ShapeMismatch(f"{dir_path}: {labels.shape[0]} labels for {n} nodes")
-
-    return GraphDataset(
-        name=meta["name"],
-        features=feats,
-        edges=edges,
-        labels=labels,
-        num_classes=int(meta["num_classes"]),
-    )
+    name, n, d, num_classes = _read_meta(paths[0])
+    feats = _read_table(paths[1], np.float64, d, fixed=False)
+    if feats.shape != (n, d):
+        raise errors.ShapeMismatch(
+            f"{dir_path}: {feats.shape[0]}x{feats.shape[1]} features, meta says {n}x{d}")
+    return GraphDataset(name=name, features=feats, edges=_read_table(paths[2], np.int64, 2),
+                        labels=_read_table(paths[3], np.int64, 1)[:, 0],
+                        num_classes=num_classes)

@@ -103,7 +103,6 @@ class TrainedModel:
     head_b: Param
     prompt_tokens: Param = None
     readout: str = "mean"
-    mode: str = "finetune"
     subgraph_cache: dict = field(default_factory=dict)   # split node id -> subgraph
 
     def logits_for(self, sub: InducedSubgraph) -> Tensor:
@@ -134,9 +133,18 @@ def _prepare_subgraphs(task: FewShotTask, proj_cfg: ProjectionConfig) -> dict:
     return subs
 
 
-def _train_head_loop(model: TrainedModel, task: FewShotTask, cfg: TransferConfig,
-                     trainable: list[Param]) -> TrainedModel:
-    """Train `trainable` and keep the values of the best validation epoch."""
+def _transfer(encoder, task: FewShotTask, cfg: TransferConfig, proj_cfg: ProjectionConfig,
+              tokens: Param = None) -> TrainedModel:
+    """Train a fresh zero-initialized linear head on a copy of `encoder`, plus
+    the prompt `tokens` if given (the encoder then stays frozen) or else the
+    whole encoder, and keep the values of the best validation epoch."""
+    enc = encoder.copy()
+    head_w = Param(np.zeros((enc.out_dim, task.c_way), dtype=np.float32), name="head.w")
+    head_b = Param(np.zeros(task.c_way, dtype=np.float32), name="head.b")
+    model = TrainedModel(encoder=enc, head_w=head_w, head_b=head_b, prompt_tokens=tokens,
+                         readout=cfg.readout,
+                         subgraph_cache=_prepare_subgraphs(task, proj_cfg))
+    trainable = ([tokens] if tokens is not None else enc.params()) + [head_w, head_b]
     opt = Adam(trainable, lr=cfg.learning_rate)
     train_labels = task.target.labels[task.train_ids]
     best = None
@@ -169,40 +177,21 @@ def _train_head_loop(model: TrainedModel, task: FewShotTask, cfg: TransferConfig
 def finetune(encoder, task: FewShotTask, cfg: TransferConfig,
              proj_cfg: ProjectionConfig) -> TrainedModel:
     """Tune the whole encoder plus a fresh zero-initialized linear head."""
-    enc = encoder.copy()
-    d_emb = enc.out_dim
-    head_w = Param(np.zeros((d_emb, task.c_way), dtype=np.float32), name="head.w")
-    head_b = Param(np.zeros(task.c_way, dtype=np.float32), name="head.b")
-    model = TrainedModel(encoder=enc, head_w=head_w, head_b=head_b,
-                         readout=cfg.readout, mode="finetune",
-                         subgraph_cache=_prepare_subgraphs(task, proj_cfg))
-    trainable = enc.params() + [head_w, head_b]
-    return _train_head_loop(model, task, cfg, trainable)
+    return _transfer(encoder, task, cfg, proj_cfg)
 
 
 def prompt_transfer(encoder, task: FewShotTask, cfg: TransferConfig,
                     proj_cfg: ProjectionConfig) -> TrainedModel:
     """Freeze the encoder; learn prompt tokens plus a linear head."""
-    enc = encoder.copy()   # frozen copy: its params are never given to the optimizer
-    d_emb = enc.out_dim
-    d_p = proj_cfg.d_p
-    tokens = Param(np.zeros((cfg.prompt_tokens, d_p), dtype=np.float32),
+    tokens = Param(np.zeros((cfg.prompt_tokens, proj_cfg.d_p), dtype=np.float32),
                    name="prompt.tokens")
-    head_w = Param(np.zeros((d_emb, task.c_way), dtype=np.float32), name="head.w")
-    head_b = Param(np.zeros(task.c_way, dtype=np.float32), name="head.b")
-    model = TrainedModel(encoder=enc, head_w=head_w, head_b=head_b,
-                         prompt_tokens=tokens, readout=cfg.readout, mode="prompt",
-                         subgraph_cache=_prepare_subgraphs(task, proj_cfg))
-    trainable = [tokens, head_w, head_b]
-    return _train_head_loop(model, task, cfg, trainable)
+    return _transfer(encoder, task, cfg, proj_cfg, tokens)
 
 
 def trainable_param_count(model: TrainedModel) -> int:
     params = [model.head_w, model.head_b]
-    if model.mode == "prompt":
-        params.append(model.prompt_tokens)
-    else:
-        params.extend(model.encoder.params())
+    params += ([model.prompt_tokens] if model.prompt_tokens is not None
+               else model.encoder.params())
     return int(sum(p.data.size for p in params))
 
 
@@ -227,19 +216,11 @@ def macro_f1(y_true: np.ndarray, y_pred: np.ndarray, num_classes: int) -> float:
 
 def binary_auc(scores: np.ndarray, positives: np.ndarray) -> float:
     """Mann-Whitney rank AUC with tie correction."""
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty_like(order, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    n = scores.size
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    # a tie group at sorted positions i..j shares the 1-based rank (i + j) / 2 + 1
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[group]
     n_pos = int(positives.sum())
-    n_neg = n - n_pos
+    n_neg = scores.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return float("nan")
     return float((ranks[positives].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))

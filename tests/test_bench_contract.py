@@ -7,18 +7,19 @@ suite instead.
 """
 
 import ast
+import dataclasses
 import importlib
-import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
 
 BENCH = Path(__file__).parent.parent / "bench"
+sys.path.insert(0, str(BENCH))   # the benchmark's modules import each other by name
 
-_spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
-tracer = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracer)
+import tracer  # noqa: E402
+import workloads  # noqa: E402
 
 
 @pytest.mark.parametrize("name", tracer.TRACED)
@@ -86,3 +87,24 @@ def test_workload_call_arguments_bind():
         except TypeError as e:
             unbound.append(f"{mod.__name__}.{attr} (line {call.lineno}): {e}")
     assert not unbound
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_exercises_its_layers(name, tmp_path, monkeypatch):
+    """`bench/run.py --trace 1` fails a workload whose traced run leaves a
+    function it `exercises` uncalled or calls one it `controls`, for example
+    when a caller imports a traced function under another name. Episode 0 on
+    60-node inputs with at most 2 operations shows the same coverage."""
+    monkeypatch.setattr(workloads, "NODES", 60)
+    w = workloads.WORKLOADS[name]
+    w = dataclasses.replace(w, planned_ops=min(2, w.planned_ops))
+    t = tracer.Tracer()
+    t.install()
+    try:
+        ep = w.run_episode(w, str(tmp_path), 0, 0, None, t)
+    finally:
+        t.uninstall()
+    assert not ep.errors
+    calls = {f: t.calls[f] for f in w.exercises + w.controls}
+    assert not [f for f in w.exercises if calls[f] == 0], calls
+    assert not [f for f in w.controls if calls[f] != 0], calls

@@ -111,6 +111,14 @@ def test_inspect_malformed_checkpoint_is_runtime_error(tmp_path, capsys):
     assert "IoError" in capsys.readouterr().err
 
 
+def test_inspect_malformed_dataset_is_runtime_error(tmp_path, capsys):
+    d = synth(tmp_path / "d")
+    with open(os.path.join(d, "edges.tsv"), "a") as f:
+        f.write("0\t1\t2\n")
+    assert run("inspect", "--dataset", d) == EXIT_RUNTIME
+    assert "error: IoError" in capsys.readouterr().err
+
+
 def transfer_with(tmp_path, *flags):
     ckpt = pretrain(tmp_path)
     tgt = synth(tmp_path / "t", seed=5)

@@ -129,3 +129,61 @@ def test_load_bad_edge_index(tmp_path):
 def test_describe_matches_compute_homophily():
     g = synth_dataset(100, 2, 8, 0.5, 3)
     assert describe(g).homophily == compute_homophily(g)
+
+
+def small_dataset_dir(tmp_path):
+    d = tmp_path / "d"
+    write_dataset(synth_dataset(6, 2, 3, 0.5, 0), d)
+    return d
+
+
+@pytest.mark.parametrize("fname, text", [
+    ("features.tsv", "1\t2\t3\n" * 5 + "1\tabc\t3\n"),
+    ("features.tsv", "1\t2\t3\n" * 5 + "1\t2\n"),
+    ("edges.tsv", "0\t1\n1\t2\t3\n"),
+    ("edges.tsv", "0\t1\t2\n"),
+    ("edges.tsv", "0\t1\n1\t2.5\n"),
+    ("labels.tsv", "0\n1\n0\n1\n0\none\n"),
+    ("meta.tsv", "name\tg\nnum_nodes\tsix\nnum_classes\t2\nfeature_dim\t3\n"),
+    ("meta.tsv", "name\tg\nnum_nodes\t6\nnum_classes\t2\n"),
+], ids=["non-numeric-feature", "ragged-feature-row", "three-field-edge-line",
+        "three-field-edges", "non-integer-edge", "non-integer-label",
+        "non-integer-num-nodes", "missing-meta-key"])
+def test_load_malformed_file_is_io_error(tmp_path, fname, text):
+    d = small_dataset_dir(tmp_path)
+    (d / fname).write_text(text)
+    with pytest.raises(errors.IoError, match=fname):
+        load_dataset(d)
+
+
+def test_load_features_disagreeing_with_meta_is_shape_mismatch(tmp_path):
+    d = small_dataset_dir(tmp_path)
+    (d / "features.tsv").write_text("1\t2\n" * 6)
+    with pytest.raises(errors.ShapeMismatch):
+        load_dataset(d)
+
+
+def test_load_skips_blank_and_whitespace_only_lines(tmp_path):
+    d = small_dataset_dir(tmp_path)
+    g = load_dataset(d)
+    for fname in ("features.tsv", "edges.tsv", "labels.tsv"):
+        lines = (d / fname).read_text().splitlines()
+        (d / fname).write_text(" \n" + "\n\n\t \n".join(lines) + "\n  ")
+    g2 = load_dataset(d)
+    for attr in ("features", "edges", "labels"):
+        assert np.array_equal(getattr(g2, attr), getattr(g, attr))
+
+
+def test_edgeless_partly_unlabeled_roundtrip_byte_identical(tmp_path):
+    feats = np.array([[-0.0, 1e-45], [0.1, -2.5], [3.4e38, 0.0]], dtype=np.float32)
+    g = GraphDataset(name="lonely", features=feats, edges=np.zeros((0, 2)),
+                     labels=np.array([-1, 1, -1]), num_classes=2)
+    write_dataset(g, tmp_path / "a")
+    g2 = load_dataset(tmp_path / "a")
+    assert g2.edges.shape == (0, 2) and g2.adjacency.nnz == 0
+    assert g2.features.tobytes() == feats.tobytes()
+    assert np.array_equal(g2.labels, g.labels)
+    write_dataset(g2, tmp_path / "b")
+    for f in ("meta.tsv", "features.tsv", "edges.tsv", "labels.tsv"):
+        assert (tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes()
+    assert (tmp_path / "a" / "edges.tsv").read_bytes() == b""
