@@ -98,25 +98,20 @@ class Tensor:
 
     def __add__(self, other):
         other = as_tensor(other)
-        out = Tensor(self.data + other.data, parents=(self, other))
 
         def bwd(g):
             if self.requires_grad:
                 self._accum(_unbroadcast(g, self.data.shape))
             if other.requires_grad:
                 other._accum(_unbroadcast(g, other.data.shape))
-        out._backward = bwd if out.requires_grad else None
-        return out
+        return Tensor(self.data + other.data, parents=(self, other), backward=bwd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Tensor(-self.data, parents=(self,))
-
         def bwd(g):
             self._accum(-g)
-        out._backward = bwd if out.requires_grad else None
-        return out
+        return Tensor(-self.data, parents=(self,), backward=bwd)
 
     def __sub__(self, other):
         return self + (-as_tensor(other))
@@ -126,21 +121,18 @@ class Tensor:
 
     def __mul__(self, other):
         other = as_tensor(other)
-        out = Tensor(self.data * other.data, parents=(self, other))
 
         def bwd(g):
             if self.requires_grad:
                 self._accum(_unbroadcast(g * other.data, self.data.shape))
             if other.requires_grad:
                 other._accum(_unbroadcast(g * self.data, other.data.shape))
-        out._backward = bwd if out.requires_grad else None
-        return out
+        return Tensor(self.data * other.data, parents=(self, other), backward=bwd)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = as_tensor(other)
-        out = Tensor(self.data / other.data, parents=(self, other))
 
         def bwd(g):
             if self.requires_grad:
@@ -148,97 +140,74 @@ class Tensor:
             if other.requires_grad:
                 other._accum(_unbroadcast(-g * self.data / other.data ** 2,
                                           other.data.shape))
-        out._backward = bwd if out.requires_grad else None
-        return out
+        return Tensor(self.data / other.data, parents=(self, other), backward=bwd)
 
     def __matmul__(self, other):
         other = as_tensor(other)
-        out = Tensor(self.data @ other.data, parents=(self, other))
 
         def bwd(g):
             if self.requires_grad:
                 self._accum(g @ other.data.T)
             if other.requires_grad:
                 other._accum(self.data.T @ g)
-        out._backward = bwd if out.requires_grad else None
-        return out
+        return Tensor(self.data @ other.data, parents=(self, other), backward=bwd)
 
     # ---- unary ----
 
     def relu(self):
-        out = Tensor(np.maximum(self.data, 0), parents=(self,))
-
         def bwd(g):
             self._accum(g * (self.data > 0))
-        out._backward = bwd if out.requires_grad else None
-        return out
+        return Tensor(np.maximum(self.data, 0), parents=(self,), backward=bwd)
 
     def tanh(self):
         t = np.tanh(self.data)
-        out = Tensor(t, parents=(self,))
 
         def bwd(g):
             self._accum(g * (1.0 - t * t))
-        out._backward = bwd if out.requires_grad else None
-        return out
+        return Tensor(t, parents=(self,), backward=bwd)
 
     def exp(self):
         e = np.exp(self.data)
-        out = Tensor(e, parents=(self,))
 
         def bwd(g):
             self._accum(g * e)
-        out._backward = bwd if out.requires_grad else None
-        return out
+        return Tensor(e, parents=(self,), backward=bwd)
 
     def log(self):
-        out = Tensor(np.log(self.data), parents=(self,))
-
         def bwd(g):
             self._accum(g / self.data)
-        out._backward = bwd if out.requires_grad else None
-        return out
+        return Tensor(np.log(self.data), parents=(self,), backward=bwd)
 
     def sqrt(self):
         r = np.sqrt(self.data)
-        out = Tensor(r, parents=(self,))
 
         def bwd(g):
             self._accum(g * 0.5 / r)
-        out._backward = bwd if out.requires_grad else None
-        return out
+        return Tensor(r, parents=(self,), backward=bwd)
 
     def square(self):
         return self * self
 
     @property
     def T(self):
-        out = Tensor(self.data.T, parents=(self,))
-
         def bwd(g):
             self._accum(g.T)
-        out._backward = bwd if out.requires_grad else None
-        return out
+        return Tensor(self.data.T, parents=(self,), backward=bwd)
 
     def reshape(self, *shape):
-        out = Tensor(self.data.reshape(*shape), parents=(self,))
-
         def bwd(g):
             self._accum(g.reshape(self.data.shape))
-        out._backward = bwd if out.requires_grad else None
-        return out
+        return Tensor(self.data.reshape(*shape), parents=(self,), backward=bwd)
 
     # ---- reductions ----
 
     def sum(self, axis=None, keepdims=False):
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), parents=(self,))
-
         def bwd(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             self._accum(np.broadcast_to(g, self.data.shape))
-        out._backward = bwd if out.requires_grad else None
-        return out
+        return Tensor(self.data.sum(axis=axis, keepdims=keepdims), parents=(self,),
+                      backward=bwd)
 
     def mean(self, axis=None, keepdims=False):
         denom = self.data.size if axis is None else self.data.shape[axis]
@@ -264,7 +233,6 @@ def as_tensor(x) -> Tensor:
 
 def concat_rows(tensors: list[Tensor]) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=0), parents=tuple(tensors))
 
     def bwd(g):
         ofs = 0
@@ -273,13 +241,12 @@ def concat_rows(tensors: list[Tensor]) -> Tensor:
             if t.requires_grad:
                 t._accum(g[ofs:ofs + n])
             ofs += n
-    out._backward = bwd if out.requires_grad else None
-    return out
+    return Tensor(np.concatenate([t.data for t in tensors], axis=0),
+                  parents=tuple(tensors), backward=bwd)
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(np.concatenate([a.data, b.data], axis=1), parents=(a, b))
     na = a.data.shape[1]
 
     def bwd(g):
@@ -287,8 +254,8 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
             a._accum(g[:, :na])
         if b.requires_grad:
             b._accum(g[:, na:])
-    out._backward = bwd if out.requires_grad else None
-    return out
+    return Tensor(np.concatenate([a.data, b.data], axis=1), parents=(a, b),
+                  backward=bwd)
 
 
 def _sum_rows(rows: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
@@ -311,35 +278,29 @@ def _sum_rows(rows: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
 def gather_rows(t: Tensor, idx: np.ndarray) -> Tensor:
     t = as_tensor(t)
     idx = np.asarray(idx, dtype=np.int64)
-    out = Tensor(t.data[idx], parents=(t,))
 
     def bwd(g):
         t._accum(_sum_rows(g, idx, t.data.shape[0]))
-    out._backward = bwd if out.requires_grad else None
-    return out
+    return Tensor(t.data[idx], parents=(t,), backward=bwd)
 
 
 def scatter_add_rows(t: Tensor, idx: np.ndarray, n_rows: int) -> Tensor:
     """out[r] = sum of rows k with idx[k] == r."""
     t = as_tensor(t)
     idx = np.asarray(idx, dtype=np.int64)
-    out = Tensor(_sum_rows(t.data, idx, n_rows), parents=(t,))
 
     def bwd(g):
         t._accum(g[idx])
-    out._backward = bwd if out.requires_grad else None
-    return out
+    return Tensor(_sum_rows(t.data, idx, n_rows), parents=(t,), backward=bwd)
 
 
 def spmm(a: sp.csr_matrix, t: Tensor) -> Tensor:
     """Constant sparse matrix times dense tensor."""
     t = as_tensor(t)
-    out = Tensor(a @ t.data, parents=(t,))
 
     def bwd(g):
         t._accum(a.T @ g)
-    out._backward = bwd if out.requires_grad else None
-    return out
+    return Tensor(a @ t.data, parents=(t,), backward=bwd)
 
 
 # ---- composites ----

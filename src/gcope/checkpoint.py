@@ -26,12 +26,12 @@ class Checkpoint:
     fingerprint: str
     tensors: dict = field(default_factory=dict)   # name -> float32 ndarray
 
-    def encoder(self, seed: int = 0):
+    def encoder(self):
         h = self.hyper
         enc = make_encoder(h["enc_kind"], h["d_p"], hidden=h["hidden"],
                            num_layers=h["num_layers"],
                            activation=h.get("activation", "relu"),
-                           eps=h.get("fagcn_eps", 0.3), seed=seed)
+                           eps=h.get("fagcn_eps", 0.3))
         for p in enc.params():
             if p.name not in self.tensors:
                 raise errors.ShapeMismatch(f"checkpoint missing tensor {p.name!r}")

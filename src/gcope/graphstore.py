@@ -101,17 +101,25 @@ def compute_homophily(g: GraphDataset) -> float:
 
 
 def describe(g: GraphDataset) -> DatasetMeta:
+    """Counts and homophily; homophily is nan where it is undefined."""
+    try:
+        homophily = compute_homophily(g)
+    except (errors.NoEdges, errors.UnlabeledNode):
+        homophily = float("nan")
     return DatasetMeta(
         node_count=g.num_nodes,
         edge_count=2 * g.edges.shape[0],
         feature_dim=g.feature_dim,
         label_count=g.num_classes,
-        homophily=compute_homophily(g),
+        homophily=homophily,
     )
 
 
-def synth_dataset(n: int, c: int, d: int, target_h: float, seed: int,
-                  avg_degree: float = 4.0, mean_scale: float = 3.0) -> GraphDataset:
+SYNTH_AVG_DEGREE = 4.0   # target mean degree of a synthetic graph
+SYNTH_MEAN_SCALE = 3.0   # std of the per-class feature means
+
+
+def synth_dataset(n: int, c: int, d: int, target_h: float, seed: int) -> GraphDataset:
     """Stochastic generator with controllable edge homophily.
 
     Labels are assigned round-robin; each candidate edge is intra-class with
@@ -127,7 +135,7 @@ def synth_dataset(n: int, c: int, d: int, target_h: float, seed: int,
     by_class = [np.flatnonzero(labels == k) for k in range(c)]
     multi = [k for k in range(c) if by_class[k].size >= 2]
 
-    target_edges = max(n // 2, int(round(avg_degree * n / 2)))
+    target_edges = max(n // 2, int(round(SYNTH_AVG_DEGREE * n / 2)))
     edges = set()   # (min(u, v), max(u, v))
 
     def try_add(u, v):
@@ -167,7 +175,7 @@ def synth_dataset(n: int, c: int, d: int, target_h: float, seed: int,
             if try_add(int(u), v):
                 break
 
-    means = rng.normal(0.0, mean_scale, size=(c, d))
+    means = rng.normal(0.0, SYNTH_MEAN_SCALE, size=(c, d))
     feats = means[labels] + rng.normal(0.0, 1.0, size=(n, d))
     return GraphDataset(name=f"synth_n{n}_c{c}_h{target_h:g}_s{seed}",
                         features=feats.astype(np.float32),

@@ -69,21 +69,19 @@ class LossReport:
 
 @dataclass
 class SampleView:
-    """One (possibly augmented) induced subgraph ready for the encoder."""
-    nodes: np.ndarray              # global joint-graph indices
+    """One (possibly augmented) induced subgraph ready for the encoder.
+    Local node 0 is the sample's center, an ordinary node."""
+    nodes: np.ndarray              # global joint-graph indices, center first
     adjacency: sp.csr_matrix       # local, symmetric
-    center_pos: int                # position of the center within `nodes`
     feature_mask: np.ndarray = None  # optional 0/1 mask on local features
 
 
 def local_adjacency(adj: sp.csr_matrix, nodes: np.ndarray) -> sp.csr_matrix:
-    sub = adj[nodes][:, nodes]
-    return sub.tocsr()
+    return adj[nodes][:, nodes].tocsr()
 
 
 def make_sample(jg: JointGraph, nodes: np.ndarray) -> SampleView:
-    return SampleView(nodes=nodes, adjacency=local_adjacency(jg.adjacency, nodes),
-                      center_pos=0)
+    return SampleView(nodes=nodes, adjacency=local_adjacency(jg.adjacency, nodes))
 
 
 def _ceil_count(x: float) -> int:
@@ -93,84 +91,77 @@ def _ceil_count(x: float) -> int:
 
 def augment(jg: JointGraph, sample: SampleView, spec: AugmentationSpec,
             rng: np.random.Generator) -> SampleView:
-    """Augmented copy; the center node and coordinators are always kept."""
+    """Augmented copy. node_drop and subgraph keep a sorted subset of the local
+    nodes holding the center (so it stays local node 0) and every coordinator."""
     nodes = sample.nodes
     is_coord = jg.is_coordinator(nodes)
     n_local = nodes.size
 
-    if spec.kind == "node_drop":
-        eligible = np.flatnonzero(~is_coord)
-        eligible = eligible[eligible != sample.center_pos]
-        k = min(_ceil_count(spec.ratio * n_local), eligible.size)
-        drop = rng.choice(eligible, size=k, replace=False) if k else np.empty(0, int)
-        keep = np.setdiff1d(np.arange(n_local), drop)
-        new_nodes = nodes[keep]
-        return SampleView(nodes=new_nodes,
-                          adjacency=local_adjacency(jg.adjacency, new_nodes),
-                          center_pos=int(np.flatnonzero(keep == sample.center_pos)[0]))
+    if spec.kind == "edge_perturb":
+        return SampleView(nodes=nodes,
+                          adjacency=_perturb_edges(sample.adjacency, spec.ratio, rng))
 
-    if spec.kind == "subgraph":
+    if spec.kind == "attr_mask":
+        # zero a fixed count of feature entries on non-coordinator rows
+        d_p = jg.base_features.shape[1]
+        maskable = np.flatnonzero(~is_coord)
+        total = maskable.size * d_p
+        k = min(_ceil_count(spec.ratio * total), total)
+        mask = np.ones((n_local, d_p), dtype=np.float32)
+        flat = rng.choice(total, size=k, replace=False)
+        mask[maskable[flat // d_p], flat % d_p] = 0.0
+        return SampleView(nodes=nodes, adjacency=sample.adjacency, feature_mask=mask)
+
+    keep = is_coord.copy()
+    keep[0] = True
+    if spec.kind == "node_drop":
+        eligible = np.flatnonzero(~keep)
+        k = min(_ceil_count(spec.ratio * n_local), eligible.size)
+        keep[eligible] = True
+        keep[rng.choice(eligible, size=k, replace=False)] = False
+    else:  # subgraph: a random walk from the center
         target = max(1, int(np.floor((1.0 - spec.ratio) * n_local)))
         indptr, indices = sample.adjacency.indptr, sample.adjacency.indices
-        kept = {sample.center_pos}
-        cur = sample.center_pos
-        stall = 0
-        while len(kept) < target and stall < 10 * n_local:
+        walked, cur, stall = {0}, 0, 0
+        while len(walked) < target and stall < 10 * n_local:
             nbrs = indices[indptr[cur]:indptr[cur + 1]]
             if nbrs.size == 0:
                 break
             cur = int(nbrs[rng.integers(nbrs.size)])
-            kept.add(cur)
+            walked.add(cur)
             stall += 1
-        kept |= set(np.flatnonzero(is_coord).tolist())  # coordinators retained
-        keep = np.asarray(sorted(kept), dtype=np.int64)
-        new_nodes = nodes[keep]
-        return SampleView(nodes=new_nodes,
-                          adjacency=local_adjacency(jg.adjacency, new_nodes),
-                          center_pos=int(np.flatnonzero(keep == sample.center_pos)[0]))
+        keep[list(walked)] = True
+    return make_sample(jg, nodes[keep])
 
-    if spec.kind == "edge_perturb":
-        adj = sample.adjacency.tocoo()
-        und = {(int(r), int(c)) for r, c in zip(adj.row, adj.col) if r < c}
-        und = sorted(und)
-        k = min(_ceil_count(spec.ratio * len(und)), len(und))
-        if k and len(und):
-            drop_idx = rng.choice(len(und), size=k, replace=False)
-            kept = [e for i, e in enumerate(und) if i not in set(drop_idx.tolist())]
-            existing = set(kept)
-            added = 0
-            tries = 0
-            while added < k and tries < 50 * k:
-                tries += 1
-                u = int(rng.integers(n_local))
-                v = int(rng.integers(n_local))
-                if u == v:
-                    continue
-                e = (min(u, v), max(u, v))
-                if e in existing:
-                    continue
-                existing.add(e)
-                kept.append(e)
-                added += 1
-            und = kept
-        selfloops = [(int(r), int(c)) for r, c in zip(adj.row, adj.col) if r == c]
-        rows = [e[0] for e in und] + [e[1] for e in und] + [e[0] for e in selfloops]
-        cols = [e[1] for e in und] + [e[0] for e in und] + [e[1] for e in selfloops]
-        new_adj = sp.coo_matrix((np.ones(len(rows), dtype=np.float32), (rows, cols)),
-                                shape=(n_local, n_local)).tocsr()
-        return SampleView(nodes=nodes, adjacency=new_adj, center_pos=sample.center_pos)
 
-    # attr_mask: zero a fixed count of feature entries on non-coordinator rows
-    d_p = jg.base_features.shape[1]
-    maskable = np.flatnonzero(~is_coord)
-    total = maskable.size * d_p
-    k = min(_ceil_count(spec.ratio * total), total)
-    mask = np.ones((n_local, d_p), dtype=np.float32)
-    if k:
-        flat = rng.choice(total, size=k, replace=False)
-        mask[maskable[flat // d_p], flat % d_p] = 0.0
-    return SampleView(nodes=nodes, adjacency=sample.adjacency,
-                      center_pos=sample.center_pos, feature_mask=mask)
+def _perturb_edges(adj: sp.csr_matrix, ratio: float,
+                   rng: np.random.Generator) -> sp.csr_matrix:
+    """Drop ceil(ratio * U) of the U undirected edges, then add as many
+    non-edges by rejection sampling; self loops are kept."""
+    n = adj.shape[0]
+    coo = adj.tocoo()
+    upper = coo.row < coo.col
+    und = np.unique(np.stack([coo.row[upper], coo.col[upper]], axis=1), axis=0)
+    k = min(_ceil_count(ratio * len(und)), len(und))
+    kept = np.ones(len(und), dtype=bool)
+    kept[rng.choice(len(und), size=k, replace=False)] = False
+    und = und[kept]
+    existing = set(map(tuple, und.tolist()))
+    added, tries = [], 0
+    while len(added) < k and tries < 50 * k:
+        tries += 1
+        u, v = int(rng.integers(n)), int(rng.integers(n))
+        e = (min(u, v), max(u, v))
+        if u == v or e in existing:
+            continue
+        existing.add(e)
+        added.append(e)
+    und = np.vstack([und, np.reshape(added, (-1, 2))])
+    loops = coo.row[coo.row == coo.col]
+    rows = np.concatenate([und[:, 0], und[:, 1], loops])
+    cols = np.concatenate([und[:, 1], und[:, 0], loops])
+    return sp.coo_matrix((np.ones(rows.size, dtype=np.float32), (rows, cols)),
+                         shape=(n, n)).tocsr()
 
 
 def encode_view(encoder, features: Tensor, view: SampleView) -> Tensor:
@@ -254,15 +245,13 @@ def pretrain_epoch(jg: JointGraph, encoder, decoder, cfg: PretrainConfig,
                    epoch: int, opt: Adam) -> LossReport:
     features = jg.feature_tensor()
     batch = sample_joint_batch(jg, cfg.batch_size, cfg.hops, cfg.seed, epoch)
-    z1_rows, z2_rows = [], []
-    recon_terms = []
+    z1_rows, z2_rows, recon_terms = [], [], []
     for k, nodes in enumerate(batch):
         sample = make_sample(jg, nodes)
         if cfg.objective == "graphcl":
-            rng1 = np.random.default_rng([cfg.seed, epoch, k, 1])
-            rng2 = np.random.default_rng([cfg.seed, epoch, k, 2])
-            v1 = augment(jg, sample, cfg.augmentations[0], rng1)
-            v2 = augment(jg, sample, cfg.augmentations[1], rng2)
+            v1, v2 = (augment(jg, sample, spec,
+                              np.random.default_rng([cfg.seed, epoch, k, i]))
+                      for i, spec in enumerate(cfg.augmentations[:2], 1))
             h1 = encode_view(encoder, features, v1)
             h2 = encode_view(encoder, features, v2)
             h_clean = encode_view(encoder, features, sample)
@@ -270,23 +259,18 @@ def pretrain_epoch(jg: JointGraph, encoder, decoder, cfg: PretrainConfig,
             rng = np.random.default_rng([cfg.seed, epoch, k, 3])
             h_clean, h2 = simgrace_views(encoder, features, sample,
                                          cfg.perturb_scale, rng)
-            h1, v1, v2 = h_clean, sample, sample
-        z1_rows.append(graph_readout(h1, np.arange(v1.nodes.size),
-                                     cfg.readout).reshape(1, -1))
-        z2_rows.append(graph_readout(h2, np.arange(v2.nodes.size),
-                                     cfg.readout).reshape(1, -1))
-        ordinary = np.flatnonzero(~jg.is_coordinator(sample.nodes))
-        if ordinary.size:
-            targets = Tensor(jg.base_features[sample.nodes[ordinary]])
-            recon_terms.append(reconstruction_loss(
-                decoder, gather_rows(h_clean, ordinary), targets))
-    z1 = concat_rows(z1_rows)
-    z2 = concat_rows(z2_rows)
-    contrastive = nt_xent(z1, z2, cfg.temperature)
-    if recon_terms:
-        recon = concat_rows([t.reshape(1, 1) for t in recon_terms]).mean()
-    else:
-        recon = Tensor(np.float32(0.0))
+            h1 = h_clean
+        for h, rows in ((h1, z1_rows), (h2, z2_rows)):
+            rows.append(graph_readout(h, np.arange(h.shape[0]),
+                                      cfg.readout).reshape(1, -1))
+        # the center is ordinary, so every sample has reconstruction targets
+        ordinary = np.flatnonzero(~jg.is_coordinator(nodes))
+        recon_terms.append(reconstruction_loss(
+            decoder, gather_rows(h_clean, ordinary),
+            Tensor(jg.base_features[nodes[ordinary]])))
+    contrastive = nt_xent(concat_rows(z1_rows), concat_rows(z2_rows),
+                          cfg.temperature)
+    recon = concat_rows([t.reshape(1, 1) for t in recon_terms]).mean()
     total = contrastive + cfg.lam * recon
     if not np.isfinite(total.data):
         raise errors.Diverged(f"non-finite loss at epoch {epoch}")

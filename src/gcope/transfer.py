@@ -25,7 +25,6 @@ class FewShotTask:
     val_ids: np.ndarray
     test_ids: np.ndarray
     hops: int = 2
-    split_seed: int = 0
 
 
 @dataclass
@@ -47,10 +46,9 @@ class TransferConfig:
 
 @dataclass
 class InducedSubgraph:
-    nodes: np.ndarray
+    nodes: np.ndarray              # center first, then BFS order
     adjacency: sp.csr_matrix
     features: np.ndarray
-    center_pos: int = 0
 
 
 @dataclass
@@ -82,7 +80,7 @@ def build_fewshot_task(g: GraphDataset, k_shot: int, hops: int = 2,
     test = np.sort(rest[n_val:])
     return FewShotTask(target=g, c_way=int(classes.size), k_shot=k_shot,
                        train_ids=train, val_ids=val, test_ids=test,
-                       hops=hops, split_seed=seed)
+                       hops=hops)
 
 
 def induce_subgraph(g: GraphDataset, center: int, hops: int,
@@ -93,7 +91,7 @@ def induce_subgraph(g: GraphDataset, center: int, hops: int,
     feats = g.features if features is None else features
     return InducedSubgraph(nodes=nodes,
                            adjacency=g.adjacency[nodes][:, nodes].tocsr(),
-                           features=feats[nodes], center_pos=0)
+                           features=feats[nodes])
 
 
 @dataclass

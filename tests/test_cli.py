@@ -1,9 +1,11 @@
 import filecmp
 import os
 
+import numpy as np
 import pytest
 
 from gcope.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from gcope.graphstore import GraphDataset, write_dataset
 
 
 def run(*argv):
@@ -117,6 +119,18 @@ def test_inspect_malformed_dataset_is_runtime_error(tmp_path, capsys):
         f.write("0\t1\t2\n")
     assert run("inspect", "--dataset", d) == EXIT_RUNTIME
     assert "error: IoError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edges,labels", [([], [0, 1, 0]), ([(0, 1)], [0, -1, 1])])
+def test_inspect_dataset_without_homophily(tmp_path, capsys, edges, labels):
+    g = GraphDataset(name="lonely", features=np.zeros((3, 2), dtype=np.float32),
+                     edges=np.array(edges, dtype=np.int64).reshape(-1, 2),
+                     labels=np.array(labels), num_classes=2)
+    write_dataset(g, str(tmp_path / "d"))
+    assert run("inspect", "--dataset", str(tmp_path / "d")) == EXIT_OK
+    out = capsys.readouterr().out
+    assert f"nodes=3 edges={2 * len(edges)} " in out
+    assert "homophily=nan" in out
 
 
 def transfer_with(tmp_path, *flags):

@@ -60,6 +60,14 @@ def test_homophily_errors():
         compute_homophily(make_graph(2, [(0, 1)], [0, -1], 2))
 
 
+def test_describe_reports_nan_homophily_where_undefined():
+    for g in (make_graph(3, [], [0, 1, 0], 2),
+              make_graph(3, [(0, 1)], [0, -1, 1], 2)):
+        meta = describe(g)
+        assert np.isnan(meta.homophily)
+        assert (meta.node_count, meta.edge_count) == (3, 2 * g.edges.shape[0])
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_homophily_matches_bruteforce_scan(data):

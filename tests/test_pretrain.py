@@ -1,5 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gcope import errors
 from gcope.amalgam import CoordinatorSet, build_joint_graph, sample_joint_batch
@@ -34,7 +37,7 @@ def test_node_drop_keeps_center_and_coordinators():
     s = first_sample(jg)
     rng = np.random.default_rng(1)
     out = augment(jg, s, AugmentationSpec("node_drop", 0.3), rng)
-    assert out.nodes[out.center_pos] == s.nodes[s.center_pos]
+    assert out.nodes[0] == s.nodes[0]
     before = set(s.nodes[jg.is_coordinator(s.nodes)].tolist())
     after = set(out.nodes[jg.is_coordinator(out.nodes)].tolist())
     assert before == after
@@ -77,7 +80,7 @@ def test_subgraph_keeps_center_and_coordinators_and_shrinks():
     s = first_sample(jg)
     rng = np.random.default_rng(9)
     out = augment(jg, s, AugmentationSpec("subgraph", 0.4), rng)
-    assert out.nodes[out.center_pos] == s.nodes[s.center_pos]
+    assert out.nodes[0] == s.nodes[0]
     n_coord = int(jg.is_coordinator(s.nodes).sum())
     target = max(1, int(np.floor(0.6 * s.nodes.size)))
     assert out.nodes.size <= target + n_coord
@@ -92,6 +95,83 @@ def test_augmentation_deterministic_given_generator():
         b = augment(jg, s, AugmentationSpec(kind, 0.3), np.random.default_rng(7))
         assert np.array_equal(a.nodes, b.nodes)
         assert (a.adjacency != b.adjacency).nnz == 0
+
+
+KINDS = ("node_drop", "edge_perturb", "attr_mask", "subgraph")
+
+
+def upper_edges(adj):
+    a = sp.triu(adj, k=1).tocoo()
+    return sorted(zip(a.row.tolist(), a.col.tolist()))
+
+
+@pytest.mark.parametrize("ratio", [0.05, 0.3, 0.9])
+def test_edge_perturb_drops_and_adds_exact_counts(ratio):
+    _, jg, _ = small_joint(sizes=(30, 25))
+    s = first_sample(jg, hops=1)
+    out = augment(jg, s, AugmentationSpec("edge_perturb", ratio),
+                  np.random.default_rng(5))
+    edges = upper_edges(s.adjacency)
+    k = int(np.ceil(ratio * len(edges)))
+    # the first draw picks the dropped edges among the sorted undirected ones
+    dropped = set(np.random.default_rng(5).choice(len(edges), size=k,
+                                                  replace=False).tolist())
+    survivors = {e for i, e in enumerate(edges) if i not in dropped}
+    after = set(upper_edges(out.adjacency))
+    assert len(survivors) == len(edges) - k
+    assert survivors <= after
+    assert len(after - survivors) == k        # the rejection loop succeeded
+    assert np.array_equal(out.adjacency.diagonal(), s.adjacency.diagonal())
+    assert np.all(out.adjacency.data == 1.0)
+    assert (out.adjacency != out.adjacency.T).nnz == 0
+    assert np.array_equal(out.nodes, s.nodes)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_view_keeps_center_at_local_zero(kind):
+    _, jg, _ = small_joint(sizes=(30, 25))
+    for hops in (1, 2):
+        for k, nodes in enumerate(sample_joint_batch(jg, 4, hops, 0)):
+            s = make_sample(jg, nodes)
+            for ratio in (0.2, 0.9):
+                out = augment(jg, s, AugmentationSpec(kind, ratio),
+                              np.random.default_rng(k))
+                assert out.nodes[0] == s.nodes[0]
+                assert not jg.is_coordinator(out.nodes[0])
+                if kind in ("node_drop", "subgraph"):
+                    local = {v: i for i, v in enumerate(s.nodes.tolist())}
+                    kept = [local[v] for v in out.nodes.tolist()]
+                    assert kept == sorted(set(kept))
+                    coords = s.nodes[jg.is_coordinator(s.nodes)]
+                    assert set(coords.tolist()) <= set(out.nodes.tolist())
+
+
+def augment_views_digest():
+    """SHA-256 prefix over the augmented views of small joint graphs."""
+    h = hashlib.sha256()
+    for sizes, per_dataset, hops in (((30,), 0, 1), ((12, 10), 1, 2),
+                                     ((120, 80), 2, 1), ((60, 40), 1, 2)):
+        graphs = [synth_dataset(n, 3, 8, 0.6, i) for i, n in enumerate(sizes)]
+        proj = project_all(graphs, ProjectionConfig(d_p=6))
+        coords = CoordinatorSet(per_dataset=per_dataset) if per_dataset else None
+        jg = build_joint_graph(proj, [g.adjacency for g in graphs], coords)
+        for k, nodes in enumerate(sample_joint_batch(jg, 3, hops, 0)):
+            s = make_sample(jg, nodes)
+            for kind in KINDS:
+                for ratio in (0.05, 0.2, 0.5, 0.9):
+                    v = augment(jg, s, AugmentationSpec(kind, ratio),
+                                np.random.default_rng([k, int(ratio * 100)]))
+                    a = v.adjacency
+                    for arr in (v.nodes, a.indptr, a.indices, a.data, v.feature_mask):
+                        if arr is not None:
+                            h.update(arr.dtype.str.encode() + arr.tobytes())
+    return h.hexdigest()[:16]
+
+
+def test_augment_views_match_recorded_digest():
+    # recorded before the view layer was rewritten; a change here means the
+    # augmentations draw or build different views than they used to
+    assert augment_views_digest() == "9bee80a9918ffc98"
 
 
 def test_augmentation_spec_validation():

@@ -68,7 +68,7 @@ def test_induce_subgraph_path_example():
     sub = induce_subgraph(g, 2, hops=2)
     # center first, then breadth-first order with index ties ascending
     assert sub.nodes.tolist() == [2, 1, 3, 0, 4]
-    assert sub.center_pos == 0
+    assert sub.nodes[0] == 2
     assert sub.adjacency.shape == (5, 5)
     assert np.array_equal(sub.features, g.features[sub.nodes])
 
