@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import errors
-from .nn import make_encoder
+from .nn import ARCHITECTURE, make_encoder
 
 MAGIC = b"GCOPEv1\n"
 
@@ -27,11 +27,10 @@ class Checkpoint:
     tensors: dict = field(default_factory=dict)   # name -> float32 ndarray
 
     def encoder(self):
-        h = self.hyper
-        enc = make_encoder(h["enc_kind"], h["d_p"], hidden=h["hidden"],
-                           num_layers=h["num_layers"],
-                           activation=h.get("activation", "relu"),
-                           eps=h.get("fagcn_eps", 0.3))
+        missing = [k for k in ARCHITECTURE if k not in self.hyper]
+        if missing:
+            raise errors.ShapeMismatch(f"checkpoint missing architecture key {missing[0]!r}")
+        enc = make_encoder(**{k: self.hyper[k] for k in ARCHITECTURE})
         for p in enc.params():
             if p.name not in self.tensors:
                 raise errors.ShapeMismatch(f"checkpoint missing tensor {p.name!r}")

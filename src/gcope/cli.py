@@ -22,15 +22,12 @@ from .evalkit import (ExperimentParams, run_ablation, run_gcope,  # noqa: E402
                       run_isolated_pretrain, run_supervised, summary_rows,
                       transfer_repeats, write_summary_csv, write_summary_markdown)
 from .graphstore import describe, load_dataset, synth_dataset, write_dataset  # noqa: E402
+from .nn import ARCHITECTURE  # noqa: E402
 from .pretrain import AugmentationSpec, PretrainConfig, pretrain  # noqa: E402
 from .projection import ProjectionConfig  # noqa: E402
 from .transfer import TransferConfig, evaluate_model  # noqa: E402
 
 EXIT_OK, EXIT_RUNTIME, EXIT_USAGE = 0, 1, 2
-
-
-def _proj_cfg(r: dict) -> ProjectionConfig:
-    return ProjectionConfig(d_p=r["proj_dim"], l2_normalize=r["l2_normalize_features"])
 
 
 def _coords(r: dict) -> CoordinatorSet:
@@ -40,39 +37,20 @@ def _coords(r: dict) -> CoordinatorSet:
                           dynamic_threshold=thr, self_loops=r["self_loops"])
 
 
-def _pretrain_cfg(r: dict) -> PretrainConfig:
-    return PretrainConfig(
-        objective=r["objective"], temperature=r["tau"], lam=r["lambda"],
-        epochs=r["epochs"], batch_size=r["batch_size"], hops=r["hops"],
-        perturb_scale=r["perturb_scale"], learning_rate=r["lr"], seed=r["seed"],
-        augmentations=(AugmentationSpec(r["aug1"], r["aug_ratio"]),
-                       AugmentationSpec(r["aug2"], r["aug_ratio"])),
-        readout=r["readout"])
+def _resolved(args) -> dict:
+    """Schema defaults <- the --config file <- the flags given."""
+    flags = {}
+    for key, (typ, _) in cfgmod.SCHEMA.items():
+        val = getattr(args, f"cfg_{key}")
+        flags[key] = val == "true" if typ is bool and val is not None else val
+    file_values = cfgmod.load_config_file(args.config) if args.config else {}
+    return cfgmod.resolve(file_values, flags)
 
 
-def _transfer_cfg(r: dict) -> TransferConfig:
-    return TransferConfig(mode=r["mode"], epochs=r["transfer_epochs"],
-                          learning_rate=r["transfer_lr"], patience=r["patience"],
-                          prompt_tokens=r["prompt_tokens"], readout=r["readout"],
-                          seed=r["seed"])
-
-
-def _resolved(args, extra_overrides: dict) -> dict:
-    file_values = cfgmod.load_config_file(args.config) if getattr(args, "config", None) else {}
-    return cfgmod.resolve(file_values, extra_overrides)
-
-
-def _add_config_flags(p: argparse.ArgumentParser, keys: list[str]):
+def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="key=value config file (flags override it)")
-    flag_names = {
-        "proj_dim": "--proj-dim", "lambda": "--lambda", "tau": "--tau",
-        "coordinators_per_dataset": "--coordinators-per-dataset",
-        "inter_mode": "--inter-mode", "coordinator_init": "--coordinator-init",
-        "self_loops": "--self-loops", "l2_normalize_features": "--l2-normalize-features",
-    }
-    for key in keys:
-        typ, default = cfgmod.SCHEMA[key]
-        flag = flag_names.get(key, "--" + key.replace("_", "-"))
+    for key, (typ, default) in cfgmod.SCHEMA.items():
+        flag = "--" + key.replace("_", "-")
         if typ is bool:
             p.add_argument(flag, dest=f"cfg_{key}", default=None,
                            choices=["true", "false"],
@@ -80,21 +58,6 @@ def _add_config_flags(p: argparse.ArgumentParser, keys: list[str]):
         else:
             p.add_argument(flag, dest=f"cfg_{key}", type=typ, default=None,
                            help=f"{key} (default {default})")
-
-
-def _overrides_from(args) -> dict:
-    out = {}
-    for key in cfgmod.SCHEMA:
-        val = getattr(args, f"cfg_{key}", None)
-        if val is None:
-            continue
-        if cfgmod.SCHEMA[key][0] is bool:
-            val = val == "true"
-        out[key] = val
-    return out
-
-
-ALL_KEYS = list(cfgmod.SCHEMA)
 
 
 def cmd_synth(args) -> int:
@@ -114,9 +77,7 @@ def _architecture(r: dict) -> dict:
     if ignored and r[ignored] != cfgmod.SCHEMA[ignored][1]:
         raise errors.InvalidArgument(
             f"{ignored}={r[ignored]!r} has no effect with enc_kind={r['enc_kind']!r}")
-    return {"d_p": r["proj_dim"], "enc_kind": r["enc_kind"], "hidden": r["hidden"],
-            "num_layers": r["num_layers"], "activation": r["activation"],
-            "fagcn_eps": r["fagcn_eps"]}
+    return {key: r["proj_dim" if key == "d_p" else key] for key in ARCHITECTURE}
 
 
 def _pretrain_hyper(r: dict, num_datasets: int) -> dict:
@@ -126,14 +87,13 @@ def _pretrain_hyper(r: dict, num_datasets: int) -> dict:
 
 
 def cmd_pretrain(args) -> int:
-    r = _resolved(args, _overrides_from(args))
+    r = _resolved(args)
     sources = [load_dataset(p) for p in args.sources.split(",")]
     coords = _coords(r)
     hyper = _pretrain_hyper(r, len(sources))
-    result = pretrain(sources, _proj_cfg(r), coords, r["enc_kind"],
-                      _pretrain_cfg(r), hidden=r["hidden"],
-                      num_layers=r["num_layers"], fagcn_eps=r["fagcn_eps"],
-                      activation=r["activation"])
+    params = _experiment_params(r, transfer=False)
+    result = pretrain(sources, params.proj_cfg, coords, cfg=params.pretrain_cfg,
+                      **params.encoder)
     fingerprint = config_fingerprint(r)
     tensors = [(p.name, p.data) for p in result.encoder.params()]
     tensors += [(p.name, p.data) for p in result.decoder.params()]
@@ -152,7 +112,7 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    r = _resolved(args, _overrides_from(args))
+    r = _resolved(args)
     ckpt = load_checkpoint(args.ckpt)
     for key, want in _architecture(r).items():
         if ckpt.hyper.get(key) != want:
@@ -175,23 +135,37 @@ def cmd_transfer(args) -> int:
     return EXIT_OK
 
 
-def _experiment_params(r: dict) -> ExperimentParams:
-    arch = _architecture(r)
-    del arch["d_p"]  # proj_cfg carries it
-    return ExperimentParams(**arch, k_shot=r["shots"], hops=r["hops"],
+def _experiment_params(r: dict, transfer: bool = True) -> ExperimentParams:
+    """The resolved config as experiment settings. With transfer=False the
+    transfer settings are neither read nor validated: `pretrain` uses none."""
+    encoder = _architecture(r)
+    proj_cfg = ProjectionConfig(d_p=encoder.pop("d_p"),
+                                l2_normalize=r["l2_normalize_features"])
+    pretrain_cfg = PretrainConfig(
+        objective=r["objective"], temperature=r["tau"], lam=r["lambda"],
+        epochs=r["epochs"], batch_size=r["batch_size"], hops=r["hops"],
+        perturb_scale=r["perturb_scale"], learning_rate=r["lr"], seed=r["seed"],
+        augmentations=(AugmentationSpec(r["aug1"], r["aug_ratio"]),
+                       AugmentationSpec(r["aug2"], r["aug_ratio"])),
+        readout=r["readout"])
+    transfer_cfg = TransferConfig(
+        mode=r["mode"], epochs=r["transfer_epochs"], learning_rate=r["transfer_lr"],
+        patience=r["patience"], prompt_tokens=r["prompt_tokens"],
+        readout=r["readout"], seed=r["seed"]) if transfer else TransferConfig()
+    return ExperimentParams(encoder=encoder, k_shot=r["shots"], hops=r["hops"],
                             repeats=r["repeats"], base_seed=r["seed"],
-                            proj_cfg=_proj_cfg(r), pretrain_cfg=_pretrain_cfg(r),
-                            transfer_cfg=_transfer_cfg(r))
+                            proj_cfg=proj_cfg, pretrain_cfg=pretrain_cfg,
+                            transfer_cfg=transfer_cfg)
 
 
 def cmd_eval(args) -> int:
-    r = _resolved(args, _overrides_from(args))
+    r = _resolved(args)
     sources = [load_dataset(p) for p in args.sources.split(",")]
     target = load_dataset(args.target)
-    params = _experiment_params(r)
+    params, coords = _experiment_params(r), _coords(r)
     summaries = [run_supervised(target, params),
                  run_isolated_pretrain(sources, target, params),
-                 run_gcope(sources, target, params, _coords(r))]
+                 run_gcope(sources, target, params, coords)]
     baselines = summaries[:2]
     rows = summary_rows(summaries, imp_vs=baselines)
     write_summary_csv(args.out, rows)
@@ -204,16 +178,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    r = _resolved(args, _overrides_from(args))
+    r = _resolved(args)
     sources = [load_dataset(p) for p in args.sources.split(",")]
     target = load_dataset(args.target)
     params = _experiment_params(r)
-    if args.kind == "lambda_sweep":
-        grid = [float(x) for x in args.grid.split(",")]
-    elif args.kind == "coordinator_count":
-        grid = [int(x) for x in args.grid.split(",")]
-    else:
-        grid = args.grid.split(",")
+    parse = {"lambda_sweep": float, "coordinator_count": int}.get(args.kind, str)
+    try:
+        grid = [parse(x) for x in args.grid.split(",")]
+    except ValueError as e:
+        raise errors.InvalidArgument(f"--grid: {e}") from None
     results = run_ablation(args.kind, grid, sources, target, params, _coords(r))
     with open(args.out, "w", newline="\n") as f:
         cols = "point,acc_mean,acc_std,auc_mean,auc_std,f1_mean,f1_std"
@@ -267,21 +240,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sources", required=True, help="comma-separated dataset dirs")
     sp.add_argument("--out", required=True, help="checkpoint path")
     sp.add_argument("--loss-csv", default=None)
-    _add_config_flags(sp, ALL_KEYS)
+    _add_config_flags(sp)
     sp.set_defaults(func=cmd_pretrain)
 
     sp = sub.add_parser("transfer", help="few-shot transfer to a target dataset")
     sp.add_argument("--ckpt", required=True)
     sp.add_argument("--target", required=True)
     sp.add_argument("--out", required=True, help="metrics CSV path")
-    _add_config_flags(sp, ALL_KEYS)
+    _add_config_flags(sp)
     sp.set_defaults(func=cmd_transfer)
 
     sp = sub.add_parser("eval", help="supervised / isolated / gcope comparison")
     sp.add_argument("--sources", required=True)
     sp.add_argument("--target", required=True)
     sp.add_argument("--out", required=True, help="summary CSV path")
-    _add_config_flags(sp, ALL_KEYS)
+    _add_config_flags(sp)
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("ablate", help="grid ablations")
@@ -291,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sources", required=True)
     sp.add_argument("--target", required=True)
     sp.add_argument("--out", required=True)
-    _add_config_flags(sp, ALL_KEYS)
+    _add_config_flags(sp)
     sp.set_defaults(func=cmd_ablate)
 
     sp = sub.add_parser("inspect", help="print checkpoint manifest / dataset stats")

@@ -101,5 +101,9 @@ def parse_inter_mode(value: str) -> tuple[str, float]:
     if value == "dynamic":
         return "dynamic", 0.0
     if value.startswith("dynamic:"):
-        return "dynamic", float(value.split(":", 1)[1])
+        try:
+            return "dynamic", float(value.split(":", 1)[1])
+        except ValueError:
+            raise errors.InvalidArgument(
+                f"inter_mode {value!r}: threshold is not a number") from None
     raise errors.InvalidArgument(f"unknown inter_mode {value!r}")

@@ -40,12 +40,7 @@ class RunSummary:
 
 @dataclass
 class ExperimentParams:
-    # the encoder architecture; proj_cfg.d_p is its input width
-    enc_kind: str = "gcn"
-    hidden: int = 100
-    num_layers: int = 2
-    activation: str = "relu"
-    fagcn_eps: float = 0.3
+    encoder: dict    # make_encoder's keywords except d_p, which proj_cfg carries, and seed
     k_shot: int = 1
     hops: int = 2
     repeats: int = 5
@@ -60,6 +55,8 @@ def transfer_repeats(encoder_for_seed, target: GraphDataset,
     """Yield (seed, task, model) for seeds base_seed, base_seed + 1, ...: a
     few-shot task drawn with that seed and the encoder from
     `encoder_for_seed(seed)` transferred to it by finetuning or prompting."""
+    if params.repeats < 1:
+        raise errors.InvalidArgument("repeats must be >= 1")
     run = prompt_transfer if params.transfer_cfg.mode == "prompt" else finetune
     for r in range(params.repeats):
         seed = params.base_seed + r
@@ -81,19 +78,14 @@ def _downstream_repeats(encoder_for_seed, target: GraphDataset,
 def run_supervised(target: GraphDataset, params: ExperimentParams) -> RunSummary:
     """Fresh random encoder trained directly on the few-shot task."""
     def fresh(seed):
-        return make_encoder(params.enc_kind, params.proj_cfg.d_p,
-                            hidden=params.hidden, num_layers=params.num_layers,
-                            activation=params.activation, eps=params.fagcn_eps,
-                            seed=seed)
+        return make_encoder(d_p=params.proj_cfg.d_p, **params.encoder, seed=seed)
     return _downstream_repeats(fresh, target, params, "supervised")
 
 
 def _pretrained_summary(sources, target, params: ExperimentParams,
                         coords: CoordinatorSet | None, scheme: str) -> RunSummary:
-    result = pretrain(sources, params.proj_cfg, coords, params.enc_kind,
-                      params.pretrain_cfg, hidden=params.hidden,
-                      num_layers=params.num_layers, fagcn_eps=params.fagcn_eps,
-                      activation=params.activation)
+    result = pretrain(sources, params.proj_cfg, coords, cfg=params.pretrain_cfg,
+                      **params.encoder)
     # finetune and prompt_transfer train a copy, so every repeat starts
     # from the same pretrained weights
     return _downstream_repeats(lambda _seed: result.encoder, target, params, scheme)

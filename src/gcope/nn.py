@@ -135,16 +135,21 @@ class FagcnEncoder:
         return deepcopy(self)
 
 
-def make_encoder(kind: str, in_dim: int, hidden: int = 100, num_layers: int = 2,
-                 activation: str = "relu", eps: float = 0.3, seed: int = 0,
+# the checkpoint's architecture record: make_encoder's first six parameters
+ARCHITECTURE = ("enc_kind", "d_p", "hidden", "num_layers", "activation", "fagcn_eps")
+
+
+def make_encoder(enc_kind: str, d_p: int, hidden: int = 100, num_layers: int = 2,
+                 activation: str = "relu", fagcn_eps: float = 0.3, seed: int = 0,
                  dtype=np.float32):
-    if kind == "gcn":
-        dims = [in_dim] + [hidden] * num_layers
+    """An encoder from `d_p` projected input dims to `hidden` output dims."""
+    if enc_kind == "gcn":
+        dims = [d_p] + [hidden] * num_layers
         return GcnEncoder(dims, activation=activation, seed=seed, dtype=dtype)
-    if kind == "fagcn":
-        return FagcnEncoder(in_dim, hidden=hidden, num_layers=num_layers,
-                            eps=eps, seed=seed, dtype=dtype)
-    raise errors.InvalidArgument(f"unknown encoder kind {kind!r}")
+    if enc_kind == "fagcn":
+        return FagcnEncoder(d_p, hidden=hidden, num_layers=num_layers,
+                            eps=fagcn_eps, seed=seed, dtype=dtype)
+    raise errors.InvalidArgument(f"unknown encoder kind {enc_kind!r}")
 
 
 class MlpDecoder:

@@ -216,17 +216,16 @@ class PretrainResult:
 
 def pretrain(graphs: list[GraphDataset], proj_cfg: ProjectionConfig,
              coords: CoordinatorSet | None, enc_kind: str, cfg: PretrainConfig,
-             hidden: int = 100, num_layers: int = 2, fagcn_eps: float = 0.3,
-             activation: str = "relu") -> PretrainResult:
+             **architecture) -> PretrainResult:
+    """Pretrain a `make_encoder(enc_kind, proj_cfg.d_p, **architecture)`
+    encoder on the joint graph of `graphs`."""
     if not graphs:
         raise errors.EmptyDatasetList("need at least one source graph")
     projected = project_all(graphs, proj_cfg)
     jg = build_joint_graph(projected, [g.adjacency for g in graphs], coords,
                            seed=cfg.seed)
-    encoder = make_encoder(enc_kind, proj_cfg.d_p, hidden=hidden,
-                           num_layers=num_layers, activation=activation,
-                           eps=fagcn_eps, seed=cfg.seed)
-    decoder = MlpDecoder(encoder.out_dim, hidden, proj_cfg.d_p, seed=cfg.seed)
+    encoder = make_encoder(enc_kind, proj_cfg.d_p, **architecture, seed=cfg.seed)
+    decoder = MlpDecoder(encoder.out_dim, encoder.out_dim, proj_cfg.d_p, seed=cfg.seed)
     params = encoder.params() + decoder.params()
     if coords is not None and jg.num_coordinators > 0:
         params.append(coords.features)

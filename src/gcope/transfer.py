@@ -42,6 +42,8 @@ class TransferConfig:
             raise errors.InvalidArgument(f"unknown transfer mode {self.mode!r}")
         if self.epochs < 1:
             raise errors.InvalidArgument("epochs must be >= 1")
+        if self.prompt_tokens < 1:
+            raise errors.InvalidArgument("prompt_tokens must be >= 1")
 
 
 @dataclass
@@ -61,6 +63,8 @@ class MetricReport:
 def build_fewshot_task(g: GraphDataset, k_shot: int, hops: int = 2,
                        seed: int = 0) -> FewShotTask:
     """K train nodes per class; remaining labeled nodes split 1:9 val:test."""
+    if k_shot < 1:
+        raise errors.InvalidArgument("k_shot must be >= 1")
     labeled = np.flatnonzero(g.labels >= 0)
     classes = np.unique(g.labels[labeled])
     rng = np.random.default_rng([seed, 0xF5])

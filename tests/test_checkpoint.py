@@ -5,7 +5,7 @@ import pytest
 
 from gcope import errors
 from gcope.checkpoint import MAGIC, Checkpoint, load_checkpoint, save_checkpoint
-from gcope.nn import make_encoder
+from gcope.nn import ARCHITECTURE, make_encoder
 
 HYPER = {"d_p": 4, "enc_kind": "gcn", "hidden": 3, "num_layers": 2,
          "activation": "relu", "fagcn_eps": 0.3}
@@ -103,6 +103,13 @@ def test_encoder_missing_tensor_is_shape_mismatch():
     del tensors["gcn.b1"]
     with pytest.raises(errors.ShapeMismatch, match="gcn.b1"):
         Checkpoint(HYPER, "f", tensors).encoder()
+
+
+@pytest.mark.parametrize("key", ARCHITECTURE)
+def test_encoder_missing_architecture_key_is_shape_mismatch(key):
+    hyper = {k: v for k, v in HYPER.items() if k != key}
+    with pytest.raises(errors.ShapeMismatch, match=key):
+        Checkpoint(hyper, "f", _encoder_tensors()).encoder()
 
 
 def test_encoder_wrong_shape_is_dimension_mismatch():

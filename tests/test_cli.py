@@ -4,8 +4,10 @@ import os
 import numpy as np
 import pytest
 
+from gcope import cli, config
 from gcope.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from gcope.graphstore import GraphDataset, write_dataset
+from gcope.nn import ARCHITECTURE
 
 
 def run(*argv):
@@ -71,6 +73,29 @@ def test_unknown_config_key_rejected(tmp_path):
     code = run("pretrain", "--sources", a, "--out", str(tmp_path / "m.ckpt"),
                "--config", str(cfg))
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv, config_text", [
+    (("ablate", "--target", "{a}", "--kind", "lambda_sweep", "--grid", "0.1,abc"), None),
+    (("ablate", "--target", "{a}", "--kind", "coordinator_count", "--grid", "1,1.5"),
+     None),
+    (("pretrain", "--inter-mode", "dynamic:abc"), None),
+    (("pretrain",), "inter_mode=dynamic:x\n"),
+], ids=["lambda-grid", "count-grid", "inter-mode-flag", "inter-mode-config"])
+def test_malformed_number_is_usage_error(tmp_path, capsys, argv, config_text):
+    a = synth(tmp_path / "a")
+    extra = ()
+    if config_text is not None:
+        (tmp_path / "run.cfg").write_text(config_text)
+        extra = ("--config", str(tmp_path / "run.cfg"))
+    code = run(*(x.format(a=a) for x in argv), "--sources", a,
+               "--out", str(tmp_path / "out"), *PRETRAIN_FLAGS, *extra)
+    assert code == EXIT_USAGE
+    assert "error: InvalidArgument:" in capsys.readouterr().err
+
+
+def test_architecture_record_has_the_checkpoint_keys():
+    assert set(cli._architecture(config.resolve())) == set(ARCHITECTURE)
 
 
 def test_flags_override_config_file_in_resolved_dump(tmp_path):
@@ -166,6 +191,17 @@ def test_transfer_dimension_mismatch_is_usage_error(tmp_path, capsys):
 def test_transfer_architecture_mismatch_is_usage_error(tmp_path, capsys, flags, key):
     assert transfer_with(tmp_path, *flags) == EXIT_USAGE
     assert f"checkpoint {key}=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ("--shots", "0"),
+    ("--mode", "prompt", "--prompt-tokens", "0"),
+    ("--repeats", "0"),
+], ids=["shots", "prompt-tokens", "repeats"])
+def test_transfer_zero_count_is_usage_error(tmp_path, capsys, flags):
+    assert transfer_with(tmp_path, *flags) == EXIT_USAGE
+    assert "error: InvalidArgument:" in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
 
 
 # transfer settings differ from the pretraining run's defaults; only the

@@ -23,7 +23,7 @@ def fake_summary(scheme, accs, aucs=None, f1s=None):
 
 def tiny_params(**kw):
     base = dict(
-        hidden=8, k_shot=1, repeats=2, base_seed=0,
+        encoder={"enc_kind": "gcn", "hidden": 8}, k_shot=1, repeats=2, base_seed=0,
         proj_cfg=ProjectionConfig(d_p=5),
         pretrain_cfg=PretrainConfig(
             epochs=2, batch_size=6, hops=1, seed=0,

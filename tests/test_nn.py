@@ -1,11 +1,13 @@
+import inspect
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from gcope import errors
 from gcope.autodiff import Param, Tensor
-from gcope.nn import (Adam, FagcnEncoder, GcnEncoder, MlpDecoder, gcn_normalize,
-                      graph_readout, make_encoder)
+from gcope.nn import (ARCHITECTURE, Adam, FagcnEncoder, GcnEncoder, MlpDecoder,
+                      gcn_normalize, graph_readout, make_encoder)
 
 from oracles import scalar_adam_trajectory
 
@@ -209,6 +211,10 @@ def test_decoder_shapes_and_copy_independent():
 def test_encoder_copy_independent(kind):
     check_copy_independent(make_encoder(kind, 4, hidden=8, seed=0),
                            lambda m, x: m.forward(x, ring_adjacency(5)), (5, 8))
+
+
+def test_architecture_names_make_encoder_parameters():
+    assert ARCHITECTURE == tuple(inspect.signature(make_encoder).parameters)[:6]
 
 
 def test_make_encoder_dispatch():
