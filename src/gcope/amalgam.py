@@ -172,13 +172,9 @@ def sample_joint_batch(jg: JointGraph, batch_size: int, hops: int,
     """
     if batch_size < 1 or hops < 1:
         raise errors.InvalidArgument("batch_size and hops must be >= 1")
-    n = jg.num_ordinary
-    out = []
-    for k in range(batch_size):
-        rng = np.random.default_rng([rng_seed, epoch, k])
-        center = int(rng.integers(n))
-        out.append(bfs_ball(jg.adjacency, center, hops))
-    return out
+    centers = [int(np.random.default_rng([rng_seed, epoch, k]).integers(jg.num_ordinary))
+               for k in range(batch_size)]
+    return [bfs_ball(jg.adjacency, center, hops) for center in centers]
 
 
 def bfs_ball(adj: sp.csr_matrix, center: int, hops: int) -> np.ndarray:

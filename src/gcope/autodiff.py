@@ -1,19 +1,22 @@
 """Minimal reverse-mode autodiff over dense numpy arrays.
 
-Tensors form a DAG; `backward()` on a scalar walks it in reverse
-topological order. Sparse matrices enter only as constants: adjacencies
-through `spmm`, and the row sums behind `gather_rows`' backward and
-`scatter_add_rows`' forward as products with a constant 0/1 CSR matrix.
-That matrix lists each output row's source rows in ascending order (a
-stable argsort of the index), and SciPy adds a row's terms in that order
-with exact multiplications by 1, so the sums are bit-identical to
-`np.add.at`'s sequential ones. The op set is exactly what the encoders,
-decoder, and losses need; nothing more.
+Tensors form a DAG. `backward()` on a scalar walks it in reverse
+topological order and frees it on the way, so a graph can be
+backpropagated once and afterwards only leaves (such as `Param`s) hold a
+`.grad`. Tensors made under `no_grad()` record no graph. Sparse matrices
+enter only as constants: adjacencies through `spmm`, and the row sums
+behind `gather_rows`' backward and `scatter_add_rows`' forward as products
+with a constant 0/1 CSR matrix. That matrix lists each output row's
+source rows in ascending order (a stable argsort of the index), and SciPy
+adds a row's terms in that order with exact multiplications by 1, so the
+sums are bit-identical to `np.add.at`'s sequential ones. The op set is
+exactly what the encoders, decoder, and losses need; nothing more.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,13 +34,19 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _backpropagated(_g):
+    raise errors.InvalidArgument("graph was already backpropagated")
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    _recording = True    # False inside no_grad()
 
     def __init__(self, data, requires_grad=False, parents=(), backward=None, name=""):
         self.data = np.asarray(data)
         self.grad = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        self.requires_grad = requires_grad or (
+            Tensor._recording and any(p.requires_grad for p in parents))
         self._parents = parents if self.requires_grad else ()
         self._backward = backward if self.requires_grad else None
         self.name = name
@@ -73,9 +82,11 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad, node._backward, node._parents = None, _backpropagated, ()
 
     def _accum(self, g):
         """Add `g` to this tensor's gradient.
@@ -83,7 +94,8 @@ class Tensor:
         The first gradient is kept without a copy, so several tensors may
         hold the same (possibly read-only) array. That is safe because
         gradients are never written in place: this method rebinds
-        `self.grad`, and `Adam.step` only reads it.
+        `self.grad`, `backward` drops an intermediate's gradient once it has
+        been passed on, and `Adam.step` only reads a leaf's.
         """
         g = np.asarray(g)
         if self.grad is None:
@@ -220,9 +232,15 @@ class Param(Tensor):
     def __init__(self, data, name=""):
         super().__init__(np.asarray(data), requires_grad=True, name=name)
 
-    def check_finite(self):
-        if not np.isfinite(self.data).all():
-            raise errors.NonFiniteUpdate(f"param {self.name!r} has non-finite entries")
+
+@contextmanager
+def no_grad():
+    """Tensors made inside the block record no parents and no closure."""
+    outer, Tensor._recording = Tensor._recording, False
+    try:
+        yield
+    finally:
+        Tensor._recording = outer
 
 
 def as_tensor(x) -> Tensor:

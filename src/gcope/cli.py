@@ -80,17 +80,13 @@ def _architecture(r: dict) -> dict:
     return {key: r["proj_dim" if key == "d_p" else key] for key in ARCHITECTURE}
 
 
-def _pretrain_hyper(r: dict, num_datasets: int) -> dict:
-    return {**_architecture(r), "lambda": r["lambda"], "tau": r["tau"],
-            "objective": r["objective"], "num_datasets": num_datasets,
-            "coordinators_per_dataset": r["coordinators_per_dataset"]}
-
-
 def cmd_pretrain(args) -> int:
     r = _resolved(args)
     sources = [load_dataset(p) for p in args.sources.split(",")]
     coords = _coords(r)
-    hyper = _pretrain_hyper(r, len(sources))
+    hyper = {**_architecture(r), "lambda": r["lambda"], "tau": r["tau"],
+             "objective": r["objective"], "num_datasets": len(sources),
+             "coordinators_per_dataset": r["coordinators_per_dataset"]}
     params = _experiment_params(r, transfer=False)
     result = pretrain(sources, params.proj_cfg, coords, cfg=params.pretrain_cfg,
                       **params.encoder)

@@ -96,10 +96,8 @@ def dump_resolved(resolved: dict, path: str) -> None:
 
 def parse_inter_mode(value: str) -> tuple[str, float]:
     """'full' | 'none' | 'dynamic:<threshold>' -> (mode, threshold)."""
-    if value in ("full", "none"):
+    if value in ("full", "none", "dynamic"):
         return value, 0.0
-    if value == "dynamic":
-        return "dynamic", 0.0
     if value.startswith("dynamic:"):
         try:
             return "dynamic", float(value.split(":", 1)[1])

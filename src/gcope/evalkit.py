@@ -18,6 +18,7 @@ from .transfer import (TransferConfig, build_fewshot_task, evaluate_model,
                        finetune, prompt_transfer)
 
 METRICS = ("acc", "auc", "f1")
+SUMMARY_COLS = ["scheme", "mode"] + [f"{m}_{s}" for m in METRICS for s in ("mean", "std")]
 
 
 @dataclass
@@ -49,14 +50,16 @@ class ExperimentParams:
     pretrain_cfg: PretrainConfig = field(default_factory=PretrainConfig)
     transfer_cfg: TransferConfig = field(default_factory=TransferConfig)
 
+    def __post_init__(self):
+        if self.repeats < 1:
+            raise errors.InvalidArgument("repeats must be >= 1")
+
 
 def transfer_repeats(encoder_for_seed, target: GraphDataset,
                      params: ExperimentParams):
     """Yield (seed, task, model) for seeds base_seed, base_seed + 1, ...: a
     few-shot task drawn with that seed and the encoder from
     `encoder_for_seed(seed)` transferred to it by finetuning or prompting."""
-    if params.repeats < 1:
-        raise errors.InvalidArgument("repeats must be >= 1")
     run = prompt_transfer if params.transfer_cfg.mode == "prompt" else finetune
     for r in range(params.repeats):
         seed = params.base_seed + r
@@ -112,10 +115,7 @@ def improvement_pct(gcope: RunSummary, baselines: list[RunSummary]) -> dict:
     out = {}
     for m in METRICS:
         base = float(np.mean([b.mean[m] for b in baselines]))
-        if base == 0:
-            out[m] = float("nan")
-        else:
-            out[m] = (gcope.mean[m] / base - 1.0) * 100.0
+        out[m] = (gcope.mean[m] / base - 1.0) * 100.0 if base != 0 else float("nan")
     return out
 
 
@@ -125,12 +125,13 @@ def run_ablation(kind: str, grid: list, sources: list[GraphDataset],
     """One RunSummary per grid point; identical seeds across points.
 
     Each point varies one setting of `params` or of the base coordinator
-    set `coords` (defaults when None) and keeps the others.
+    set `coords` (defaults when None) and keeps the others. Every point is
+    built, and so validated, before any is pretrained.
     """
     if not grid:
         raise errors.InvalidArgument("ablation grid is empty")
     base = coords if coords is not None else CoordinatorSet()
-    rows = []
+    points = []
     for point in grid:
         # a fresh set per point: pretraining initialises and trains its features
         p, c = params, replace(base, features=None)
@@ -144,8 +145,9 @@ def run_ablation(kind: str, grid: list, sources: list[GraphDataset],
             c = replace(c, per_dataset=int(point))
         else:
             raise errors.InvalidArgument(f"unknown ablation kind {kind!r}")
-        rows.append((point, _pretrained_summary(sources, target, p, c, "gcope")))
-    return rows
+        points.append((point, p, c))
+    return [(point, _pretrained_summary(sources, target, p, c, "gcope"))
+            for point, p, c in points]
 
 
 def runtime_scaling_probe(sizes: list[int], m: int = 2, c: int = 1,
@@ -191,24 +193,22 @@ def summary_rows(summaries: list[RunSummary], imp_vs: list[RunSummary] = None):
 
 
 def write_summary_csv(path: str, rows: list[dict]) -> None:
-    cols = ["scheme", "mode"] + [f"{m}_{s}" for m in METRICS for s in ("mean", "std")]
     with open(path, "w", newline="\n") as f:
-        f.write(",".join(cols) + "\n")
+        f.write(",".join(SUMMARY_COLS) + "\n")
         for row in rows:
-            f.write(",".join(_fmt_cell(row.get(c, "")) for c in cols) + "\n")
+            f.write(",".join(_fmt_cell(row.get(c, "")) for c in SUMMARY_COLS) + "\n")
 
 
 def write_summary_markdown(path: str, rows: list[dict], note: str = "") -> None:
-    cols = ["scheme", "mode"] + [f"{m}_{s}" for m in METRICS for s in ("mean", "std")]
     with open(path, "w", newline="\n") as f:
         if note:
             f.write(note + "\n\n")
         f.write("(std = sample standard deviation, n-1 denominator; "
                 "IMP = ratio of means vs averaged baselines)\n\n")
-        f.write("| " + " | ".join(cols) + " |\n")
-        f.write("|" + "---|" * len(cols) + "\n")
+        f.write("| " + " | ".join(SUMMARY_COLS) + " |\n")
+        f.write("|" + "---|" * len(SUMMARY_COLS) + "\n")
         for row in rows:
-            f.write("| " + " | ".join(_fmt_cell(row.get(c, "")) for c in cols) + " |\n")
+            f.write("| " + " | ".join(_fmt_cell(row.get(c, "")) for c in SUMMARY_COLS) + " |\n")
 
 
 def _fmt_cell(v):

@@ -44,6 +44,7 @@ class GcnEncoder:
         if activation not in _ACTS:
             raise errors.InvalidArgument(f"unknown activation {activation!r}")
         self.dims = list(dims)
+        self.num_layers = len(dims) - 1
         self.activation = activation
         rng = np.random.default_rng([seed, 0xE0C])
         self.weights = [Param(glorot(rng, dims[i], dims[i + 1], dtype=dtype),
@@ -199,7 +200,8 @@ class Adam:
             vhat = self.v[i] / (1 - b2 ** self.t)
             with np.errstate(invalid="ignore", over="ignore"):
                 p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
-            p.check_finite()
+            if not np.isfinite(p.data).all():
+                raise errors.NonFiniteUpdate(f"param {p.name!r} has non-finite entries")
             p.zero_grad()
 
 

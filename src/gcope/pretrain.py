@@ -8,6 +8,7 @@ reconstruction term computed on the clean view's node embeddings.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,8 @@ from .autodiff import Tensor, concat_rows, gather_rows, logsumexp_rows, mse, \
 from .graphstore import GraphDataset
 from .nn import Adam, MlpDecoder, graph_readout, make_encoder
 from .projection import ProjectionConfig, project_all
+
+PHYSICAL_MEMORY_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 @dataclass
@@ -240,10 +243,24 @@ def pretrain(graphs: list[GraphDataset], proj_cfg: ProjectionConfig,
                           joint_graph=jg, history=history)
 
 
+def _check_tape_fits(jg: JointGraph, encoder, cfg: PretrainConfig, batch: list) -> None:
+    """Fail fast if a step's forward tape would exceed physical memory: each
+    layer of each view (3 per sample for graphcl, 2 for simgrace) keeps ball
+    nodes, plus for FAGCN their joint-adjacency row lengths, x hidden values."""
+    per_node = 1 + np.diff(jg.adjacency.indptr) * (encoder.kind == "fagcn")
+    tape = ((3 if cfg.objective == "graphcl" else 2) * encoder.out_dim * encoder.num_layers
+            * encoder.params()[0].data.itemsize * sum(int(per_node[b].sum()) for b in batch))
+    if tape > PHYSICAL_MEMORY_BYTES:
+        raise errors.InvalidArgument(
+            f"a step's forward tape needs about {tape / 2**20:.0f} MB, more than "
+            f"physical memory; lower batch_size ({cfg.batch_size}) or hops ({cfg.hops})")
+
+
 def pretrain_epoch(jg: JointGraph, encoder, decoder, cfg: PretrainConfig,
                    epoch: int, opt: Adam) -> LossReport:
     features = jg.feature_tensor()
     batch = sample_joint_batch(jg, cfg.batch_size, cfg.hops, cfg.seed, epoch)
+    _check_tape_fits(jg, encoder, cfg, batch)
     z1_rows, z2_rows, recon_terms = [], [], []
     for k, nodes in enumerate(batch):
         sample = make_sample(jg, nodes)

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 from . import errors
 from .amalgam import bfs_ball
-from .autodiff import (Param, Tensor, concat_rows, softmax_cross_entropy,
+from .autodiff import (Param, Tensor, concat_rows, no_grad, softmax_cross_entropy,
                        softmax_rows)
 from .graphstore import GraphDataset
 from .nn import Adam, graph_readout
@@ -127,12 +127,9 @@ def apply_prompt(x: Tensor, tokens: Param) -> Tensor:
 def _prepare_subgraphs(task: FewShotTask, proj_cfg: ProjectionConfig) -> dict:
     """Project target features to d_p and induce subgraphs for all split nodes."""
     feats = svd_project(task.target.features, proj_cfg).matrix
-    subs = {}
-    for ids in (task.train_ids, task.val_ids, task.test_ids):
-        for node in ids:
-            subs[int(node)] = induce_subgraph(task.target, int(node), task.hops,
-                                              features=feats)
-    return subs
+    ids = np.concatenate([task.train_ids, task.val_ids, task.test_ids])
+    return {int(v): induce_subgraph(task.target, int(v), task.hops, features=feats)
+            for v in ids}
 
 
 def _transfer(encoder, task: FewShotTask, cfg: TransferConfig, proj_cfg: ProjectionConfig,
@@ -149,9 +146,7 @@ def _transfer(encoder, task: FewShotTask, cfg: TransferConfig, proj_cfg: Project
     trainable = ([tokens] if tokens is not None else enc.params()) + [head_w, head_b]
     opt = Adam(trainable, lr=cfg.learning_rate)
     train_labels = task.target.labels[task.train_ids]
-    best = None
-    best_val = -1.0
-    since_best = 0
+    best, best_val, since_best = None, -1.0, 0
     for epoch in range(cfg.epochs):
         logit_rows = [model.logits_for(model.subgraph_cache[int(n)])
                       for n in task.train_ids]
@@ -239,6 +234,7 @@ def macro_ovr_auc(y_true: np.ndarray, scores: np.ndarray) -> float:
     return float(np.mean(aucs)) if aucs else float("nan")
 
 
+@no_grad()
 def predict_scores(model: TrainedModel, task: FewShotTask,
                    ids: np.ndarray, subs: dict = None) -> np.ndarray:
     """Logits of split nodes `ids` from their induced subgraphs in `subs`

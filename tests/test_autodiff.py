@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from gcope import errors
 from gcope.autodiff import (Param, Tensor, concat_cols, concat_rows, gather_rows,
-                            logsumexp_rows, mse, normalize_rows, scatter_add_rows,
-                            softmax_cross_entropy, softmax_rows, spmm)
+                            logsumexp_rows, mse, no_grad, normalize_rows,
+                            scatter_add_rows, softmax_cross_entropy, softmax_rows, spmm)
+from gcope.nn import make_encoder
+from gcope.transfer import InducedSubgraph, TrainedModel
 
 from oracles import add_at_row_sum, finite_diff_grad, rel_err
 
@@ -169,3 +173,138 @@ def test_softmax_cross_entropy_value():
 def test_mse_shape_mismatch():
     with pytest.raises(errors.ShapeMismatch):
         mse(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 3))))
+
+
+# ------------------------------------------------------------ tape lifetime
+
+def retained_backward(loss):
+    """The walk without release, as `Tensor.backward` ran before it freed the
+    graph: same topological order, every node keeps its gradient and closure."""
+    topo, seen = [], set()
+    stack = [(loss, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if p.requires_grad and id(p) not in seen:
+                stack.append((p, False))
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(topo):
+        if node._backward is not None:
+            node._backward(node.grad)
+
+
+def shared_node_graph(seed):
+    """A loss whose hidden layer `h` feeds four consumers, so its gradient is
+    a sum whose order matters to the last bit."""
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal((6, 4)))
+    w = Param(rng.standard_normal((4, 3)), name="w")
+    b = Param(rng.standard_normal(3), name="b")
+    rows, cols = np.array([0, 1, 1, 3, 5, 2]), np.array([1, 0, 3, 1, 2, 5])
+    h = (x @ w + b).tanh()
+    msg = gather_rows(h, rows) * gather_rows(h, cols)
+    loss = scatter_add_rows(msg, rows, 6).sum() + (h * h).mean()
+    return loss, h, (w, b)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_backward_releases_intermediates_and_keeps_param_grads(seed):
+    loss, h, params = shared_node_graph(seed)
+    loss.backward()
+    assert h._parents == () and h.grad is None
+    assert loss._parents == () and loss.grad is None
+    ref_loss, ref_h, ref_params = shared_node_graph(seed)
+    retained_backward(ref_loss)
+    assert ref_h.grad is not None and ref_h._parents != ()
+    for p, ref in zip(params, ref_params):
+        assert p.grad.tobytes() == ref.grad.tobytes(), p.name
+
+
+def test_second_backward_raises_and_leaves_param_grads():
+    p = Param(np.array([1.0, 2.0]), name="p")
+    h = p * 3.0
+    loss = (h * h).sum()
+    loss.backward()
+    want = p.grad.copy()
+    with pytest.raises(errors.InvalidArgument, match="already backpropagated"):
+        loss.backward()
+    # a released node cannot seed a new graph either
+    with pytest.raises(errors.InvalidArgument, match="already backpropagated"):
+        (h + 1.0).sum().backward()
+    assert np.array_equal(p.grad, want)
+
+
+def test_backward_peak_stays_well_below_the_forward_tape():
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((4000, 64)))
+    ws = [Param(rng.standard_normal((64, 64)) / 8.0, name=f"w{i}") for i in range(6)]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        h = x
+        for w in ws:
+            h = (h @ w).tanh()
+        loss = h.sum()
+        del h
+        before_backward = tracemalloc.get_traced_memory()[0]
+        forward = before_backward - start
+        tracemalloc.reset_peak()
+        loss.backward()
+        extra = tracemalloc.get_traced_memory()[1] - before_backward
+    finally:
+        tracemalloc.stop()
+    assert forward >= 12 * x.data.nbytes      # two 4000 x 64 buffers per layer
+    assert extra < 0.5 * forward, (extra, forward)
+    assert all(w.grad is not None for w in ws)
+
+
+def test_no_grad_builds_no_tape_and_computes_the_same_data():
+    rng = np.random.default_rng(0)
+    x, w = Tensor(rng.standard_normal((4, 3))), Param(rng.standard_normal((3, 2)))
+    want = softmax_rows((x @ w).tanh())
+    with no_grad():
+        got = softmax_rows((x @ w).tanh())
+        assert w.requires_grad
+    assert not got.requires_grad
+    assert got._parents == () and got._backward is None
+    assert got.data.tobytes() == want.data.tobytes()
+    assert want.requires_grad and want._parents
+
+
+def test_no_grad_nests_and_restores_recording_after_an_exception():
+    p = Param(np.ones(2))
+    with no_grad():
+        with no_grad():
+            assert not (p * 2.0).requires_grad
+        assert not (p * 2.0).requires_grad
+    assert (p * 2.0).requires_grad
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError("inside")
+    out = p * 2.0
+    assert out.requires_grad and len(out._parents) == 2
+
+
+@pytest.mark.parametrize("prompt", [False, True], ids=["finetune", "prompt"])
+def test_logits_for_under_no_grad_has_no_tape(prompt):
+    rng = np.random.default_rng(0)
+    tokens = Param(rng.standard_normal((2, 4)), name="tokens") if prompt else None
+    model = TrainedModel(encoder=make_encoder("gcn", 4, hidden=5, seed=0),
+                         head_w=Param(rng.standard_normal((5, 3)), name="head.w"),
+                         head_b=Param(np.zeros(3), name="head.b"), prompt_tokens=tokens)
+    sub = InducedSubgraph(nodes=np.arange(4),
+                          adjacency=sp.csr_matrix(np.ones((4, 4)) - np.eye(4)),
+                          features=rng.standard_normal((4, 4)).astype(np.float32))
+    taped = model.logits_for(sub)
+    with no_grad():
+        out = model.logits_for(sub)
+    assert taped.requires_grad
+    assert not out.requires_grad and out._parents == () and out._backward is None
+    assert out.data.tobytes() == taped.data.tobytes()

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from gcope import cli, config
+from gcope import cli, config, evalkit
 from gcope.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from gcope.graphstore import GraphDataset, write_dataset
 from gcope.nn import ARCHITECTURE
@@ -92,6 +92,24 @@ def test_malformed_number_is_usage_error(tmp_path, capsys, argv, config_text):
                "--out", str(tmp_path / "out"), *PRETRAIN_FLAGS, *extra)
     assert code == EXIT_USAGE
     assert "error: InvalidArgument:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--kind", "inter_edges", "--grid", "full,dynamic:abc"),
+    ("--kind", "lambda_sweep", "--grid", "0.1", "--repeats", "0"),
+], ids=["bad-later-point", "zero-repeats"])
+def test_ablate_rejects_bad_settings_before_any_pretraining(tmp_path, capsys,
+                                                             monkeypatch, argv):
+    def no_pretraining(*args, **kwargs):
+        raise AssertionError("pretraining ran before the settings were checked")
+
+    monkeypatch.setattr(evalkit, "pretrain", no_pretraining)
+    a = synth(tmp_path / "a")
+    code = run("ablate", *argv, "--sources", a, "--target", a,
+               "--out", str(tmp_path / "out"), *PRETRAIN_FLAGS)
+    assert code == EXIT_USAGE
+    assert "error: InvalidArgument:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_architecture_record_has_the_checkpoint_keys():

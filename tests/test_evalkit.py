@@ -174,6 +174,24 @@ def test_ablation_points_vary_one_field_of_the_base_coordinators(monkeypatch):
     assert base.features is None
 
 
+def test_zero_repeats_rejected_when_params_are_built():
+    with pytest.raises(errors.InvalidArgument, match="repeats"):
+        tiny_params(repeats=0)
+
+
+def test_ablation_validates_every_point_before_pretraining(monkeypatch):
+    def no_pretraining(*args, **kwargs):
+        raise AssertionError("pretraining ran before the grid was checked")
+
+    monkeypatch.setattr(evalkit, "pretrain", no_pretraining)
+    sources, target = tiny_data()
+    with pytest.raises(errors.InvalidArgument):
+        run_ablation("inter_edges", ["full", "dynamic:x"], sources, target,
+                     tiny_params())
+    with pytest.raises(errors.InvalidArgument):
+        run_ablation("lambda_sweep", [0.1, -1.0], sources, target, tiny_params())
+
+
 def test_unknown_ablation_kind_and_empty_grid():
     sources, target = tiny_data()
     with pytest.raises(errors.InvalidArgument):

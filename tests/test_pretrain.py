@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 
 import numpy as np
 import pytest
@@ -362,3 +363,39 @@ def test_config_validation():
         PretrainConfig(temperature=0.0)
     with pytest.raises(errors.InvalidArgument):
         PretrainConfig(lam=-0.1)
+
+
+@pytest.mark.parametrize("objective,enc", [("graphcl", "gcn"), ("simgrace", "fagcn")])
+def test_tape_beyond_physical_memory_fails_before_encoding(monkeypatch, objective, enc):
+    module = importlib.import_module("gcope.pretrain")
+
+    def no_encoding(*args, **kwargs):
+        raise AssertionError("a view was encoded before the memory check")
+
+    monkeypatch.setattr(module, "PHYSICAL_MEMORY_BYTES", 4096)
+    monkeypatch.setattr(module, "encode_view", no_encoding)
+    graphs = [synth_dataset(10, 2, 6, 0.7, i) for i in range(2)]
+    with pytest.raises(errors.InvalidArgument) as info:
+        pretrain(graphs, ProjectionConfig(d_p=5), CoordinatorSet(), enc,
+                 make_cfg(objective=objective, batch_size=4, hops=2), hidden=8)
+    msg = str(info.value)
+    assert "batch_size (4)" in msg and "hops (2)" in msg and " MB" in msg
+
+
+def test_tape_estimate_counts_views_layers_and_fagcn_edges(monkeypatch):
+    """The estimate is exactly the limit at which the check starts to fire."""
+    module = importlib.import_module("gcope.pretrain")
+    graphs, jg, _ = small_joint()
+    batch = sample_joint_batch(jg, 3, 2, 0)
+    nodes = sum(b.size for b in batch)
+    edges = sum(int(np.diff(jg.adjacency.indptr)[b].sum()) for b in batch)
+    for objective, enc, want in [("graphcl", "gcn", 3 * nodes),
+                                 ("simgrace", "fagcn", 2 * (nodes + edges))]:
+        encoder = make_encoder(enc, 6, hidden=8, num_layers=3)
+        cfg = make_cfg(objective=objective)
+        # float32 values, hidden 8, three layers
+        monkeypatch.setattr(module, "PHYSICAL_MEMORY_BYTES", want * 8 * 3 * 4)
+        module._check_tape_fits(jg, encoder, cfg, batch)
+        monkeypatch.setattr(module, "PHYSICAL_MEMORY_BYTES", want * 8 * 3 * 4 - 1)
+        with pytest.raises(errors.InvalidArgument):
+            module._check_tape_fits(jg, encoder, cfg, batch)

@@ -6,7 +6,8 @@ from gcope.autodiff import Param, Tensor
 from gcope.graphstore import synth_dataset
 from gcope.nn import make_encoder
 from gcope.projection import ProjectionConfig
-from gcope.transfer import (TransferConfig, accuracy, apply_prompt, binary_auc,
+from gcope.transfer import (TrainedModel, TransferConfig, accuracy, apply_prompt,
+                            binary_auc,
                             build_fewshot_task, evaluate_model, finetune,
                             induce_subgraph, macro_f1, macro_ovr_auc,
                             predict_scores, prompt_transfer,
@@ -109,6 +110,27 @@ def test_zero_learning_rate_changes_nothing():
     # the source encoder object itself is never mutated
     for p, old in zip(enc.params(), before):
         assert np.array_equal(p.data, old)
+
+
+def test_predict_scores_builds_no_tape(monkeypatch):
+    g = target_graph()
+    task = build_fewshot_task(g, 1, seed=0)
+    model = finetune(pretrained_encoder(), task, TransferConfig(epochs=1),
+                     ProjectionConfig(d_p=8))
+    taped = []
+    real_logits_for = TrainedModel.logits_for
+
+    def spy(self, sub):
+        out = real_logits_for(self, sub)
+        taped.append(out.requires_grad)
+        return out
+
+    monkeypatch.setattr(TrainedModel, "logits_for", spy)
+    predict_scores(model, task, task.val_ids)
+    assert len(taped) == task.val_ids.size and not any(taped)
+    # recording is back on once scoring returns
+    model.logits_for(model.subgraph_cache[int(task.train_ids[0])])
+    assert taped[-1]
 
 
 def test_finetune_learns_separable_task():
