@@ -263,19 +263,6 @@ def concat_rows(tensors: list[Tensor]) -> Tensor:
                   parents=tuple(tensors), backward=bwd)
 
 
-def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    na = a.data.shape[1]
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(g[:, :na])
-        if b.requires_grad:
-            b._accum(g[:, na:])
-    return Tensor(np.concatenate([a.data, b.data], axis=1), parents=(a, b),
-                  backward=bwd)
-
-
 def _sum_rows(rows: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
     """out[r] = sum of rows[k] over k with idx[k] == r, bit-identical to
     `np.add.at` into zeros of rows' dtype (see the module docstring).

@@ -8,8 +8,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import errors
-from .autodiff import (Param, Tensor, concat_cols, gather_rows, scatter_add_rows,
-                       spmm)
+from .autodiff import Param, Tensor, gather_rows, scatter_add_rows, spmm
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -84,7 +83,11 @@ class FagcnEncoder:
 
     h0 = x @ W_in + b_in; each layer computes
     h_i' = eps * h0_i + sum_{j in N(i)} alpha_ij / sqrt(d_i d_j) * h_j
-    with alpha_ij = tanh(g . [h_i || h_j]).
+    with alpha_ij = tanh(g_top . h_i + g_bot . h_j) = tanh(g . [h_i || h_j]),
+    where g_top and g_bot are the halves of the 2*hidden x 1 gate g. So the
+    gate needs two node-level products, gathered to the edges. The residual
+    eps * h0 is formed once, in the parameters' dtype, so a float32 encoder
+    returns float32.
     """
 
     kind = "fagcn"
@@ -115,19 +118,15 @@ class FagcnEncoder:
         coo = adj.tocoo()
         rows, cols = coo.row.astype(np.int64), coo.col.astype(np.int64)
         deg = np.asarray(adj.sum(axis=1)).ravel()
+        coef = Tensor((1.0 / np.sqrt(deg[rows] * deg[cols])).reshape(-1, 1).astype(x.dtype))
         h0 = x @ self.w_in + self.b_in
+        residual = h0 * Tensor(np.asarray(self.eps, dtype=h0.dtype))
+        top, bottom = np.arange(self.hidden), np.arange(self.hidden, 2 * self.hidden)
         h = h0
-        if rows.size:
-            coef = (1.0 / np.sqrt(deg[rows] * deg[cols])).reshape(-1, 1).astype(x.dtype)
         for g in self.gates:
-            if rows.size == 0:
-                h = self.eps * h0
-                continue
-            hi = gather_rows(h, rows)
-            hj = gather_rows(h, cols)
-            alpha = (concat_cols(hi, hj) @ g).tanh()       # E x 1, in (-1, 1)
-            agg = scatter_add_rows(hj * alpha * Tensor(coef), rows, n)
-            h = self.eps * h0 + agg
+            alpha = (gather_rows(h @ gather_rows(g, top), rows)
+                     + gather_rows(h @ gather_rows(g, bottom), cols)).tanh()  # E x 1
+            h = residual + scatter_add_rows(gather_rows(h, cols) * (alpha * coef), rows, n)
         if not np.isfinite(h.data).all():
             raise errors.NonFiniteActivation("encoder produced non-finite activations")
         return h

@@ -60,6 +60,9 @@ class PretrainConfig:
             raise errors.InvalidArgument("temperature must be positive")
         if self.lam < 0:
             raise errors.InvalidArgument("lambda must be nonnegative")
+        for key, low in (("epochs", 0), ("batch_size", 2), ("hops", 1)):
+            if getattr(self, key) < low:
+                raise errors.InvalidArgument(f"{key} must be >= {low}")
 
 
 @dataclass
@@ -243,27 +246,34 @@ def pretrain(graphs: list[GraphDataset], proj_cfg: ProjectionConfig,
                           joint_graph=jg, history=history)
 
 
-def _check_tape_fits(jg: JointGraph, encoder, cfg: PretrainConfig, batch: list) -> None:
-    """Fail fast if a step's forward tape would exceed physical memory: each
-    layer of each view (3 per sample for graphcl, 2 for simgrace) keeps ball
-    nodes, plus for FAGCN their joint-adjacency row lengths, x hidden values."""
-    per_node = 1 + np.diff(jg.adjacency.indptr) * (encoder.kind == "fagcn")
-    tape = ((3 if cfg.objective == "graphcl" else 2) * encoder.out_dim * encoder.num_layers
-            * encoder.params()[0].data.itemsize * sum(int(per_node[b].sum()) for b in batch))
-    if tape > PHYSICAL_MEMORY_BYTES:
-        raise errors.InvalidArgument(
-            f"a step's forward tape needs about {tape / 2**20:.0f} MB, more than "
-            f"physical memory; lower batch_size ({cfg.batch_size}) or hops ({cfg.hops})")
+def _tape_bytes(jg: JointGraph, encoder, cfg: PretrainConfig, samples: list) -> int:
+    """A step's forward tape, estimated from its samples. Each view (3 per
+    sample for graphcl, 2 for simgrace) keeps its input gather (nodes x d_p),
+    its readout gather (nodes x hidden) and per layer four nodes x hidden
+    (GCN) or three nodes x hidden plus two edges x hidden (FAGCN). The clean
+    view's reconstruction keeps four nodes x hidden and six nodes x d_p, and
+    the step keeps the joint feature matrix twice (parameters not counted)."""
+    d_p, hidden = jg.base_features.shape[1], encoder.out_dim
+    nodes = np.array([s.nodes.size for s in samples])
+    edges = np.array([s.adjacency.nnz for s in samples]) * (encoder.kind == "fagcn")
+    layer = (3 if encoder.kind == "fagcn" else 4) * nodes * hidden + 2 * edges * hidden
+    view = nodes * (d_p + hidden) + encoder.num_layers * layer
+    values = (3 if cfg.objective == "graphcl" else 2) * view + nodes * (4 * hidden + 6 * d_p)
+    return (int(values.sum()) + 2 * jg.base_features.size) * encoder.params()[0].data.itemsize
 
 
 def pretrain_epoch(jg: JointGraph, encoder, decoder, cfg: PretrainConfig,
                    epoch: int, opt: Adam) -> LossReport:
     features = jg.feature_tensor()
     batch = sample_joint_batch(jg, cfg.batch_size, cfg.hops, cfg.seed, epoch)
-    _check_tape_fits(jg, encoder, cfg, batch)
+    samples = [make_sample(jg, nodes) for nodes in batch]
+    tape = _tape_bytes(jg, encoder, cfg, samples)
+    if tape > PHYSICAL_MEMORY_BYTES:   # fail before encoding anything
+        raise errors.InvalidArgument(
+            f"a step's forward tape needs about {tape / 2**20:.0f} MB, more than "
+            f"physical memory; lower batch_size ({cfg.batch_size}) or hops ({cfg.hops})")
     z1_rows, z2_rows, recon_terms = [], [], []
-    for k, nodes in enumerate(batch):
-        sample = make_sample(jg, nodes)
+    for k, sample in enumerate(samples):
         if cfg.objective == "graphcl":
             v1, v2 = (augment(jg, sample, spec,
                               np.random.default_rng([cfg.seed, epoch, k, i]))
@@ -280,10 +290,10 @@ def pretrain_epoch(jg: JointGraph, encoder, decoder, cfg: PretrainConfig,
             rows.append(graph_readout(h, np.arange(h.shape[0]),
                                       cfg.readout).reshape(1, -1))
         # the center is ordinary, so every sample has reconstruction targets
-        ordinary = np.flatnonzero(~jg.is_coordinator(nodes))
+        ordinary = np.flatnonzero(~jg.is_coordinator(sample.nodes))
         recon_terms.append(reconstruction_loss(
             decoder, gather_rows(h_clean, ordinary),
-            Tensor(jg.base_features[nodes[ordinary]])))
+            Tensor(jg.base_features[sample.nodes[ordinary]])))
     contrastive = nt_xent(concat_rows(z1_rows), concat_rows(z2_rows),
                           cfg.temperature)
     recon = concat_rows([t.reshape(1, 1) for t in recon_terms]).mean()

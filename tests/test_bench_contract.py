@@ -108,3 +108,20 @@ def test_workload_exercises_its_layers(name, tmp_path, monkeypatch):
     calls = {f: t.calls[f] for f in w.exercises + w.controls}
     assert not [f for f in w.exercises if calls[f] == 0], calls
     assert not [f for f in w.controls if calls[f] != 0], calls
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_passes_its_correctness_checks(name, tmp_path, monkeypatch):
+    """`bench/run.py` exits 1 when a correctness check fails: few-shot accuracy
+    not above chance by `ACCURACY_MARGIN`, a non-finite loss, or a replay that
+    does not reproduce its plan episode bit for bit. Episode 0 of seed 0 and
+    one replay of it run those checks. Transfer runs on the benchmark's own
+    inputs, for which its accuracy margin is sized; pretraining on 60-node
+    sources."""
+    w = workloads.WORKLOADS[name]
+    if w.run_episode is workloads.run_pretrain_episode:
+        monkeypatch.setattr(workloads, "NODES", 60)
+    first = w.run_episode(w, str(tmp_path), 0, 0, None, None)
+    replay = w.run_episode(w, str(tmp_path), 0, 0, None, None)
+    assert first.complete, first.errors
+    assert not first.checks + replay.checks + workloads.check_replay(replay, first)

@@ -197,6 +197,22 @@ def test_flag_the_encoder_ignores_is_usage_error(tmp_path, capsys, flags, key):
     assert not ckpt.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--epochs", "-3"), ("--batch-size", "1"),
+                                         ("--hops", "0")])
+def test_pretrain_size_below_minimum_is_usage_error(tmp_path, capsys, monkeypatch,
+                                                     flag, value):
+    def no_pretraining(*args, **kwargs):
+        raise AssertionError("pretraining started before the sizes were checked")
+
+    monkeypatch.setattr(cli, "pretrain", no_pretraining)
+    a = synth(tmp_path / "a", seed=1)
+    ckpt = tmp_path / "m.ckpt"
+    assert run("pretrain", "--sources", a, "--out", str(ckpt), *PRETRAIN_FLAGS,
+               flag, value) == EXIT_USAGE
+    assert "error: InvalidArgument:" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
 def test_transfer_dimension_mismatch_is_usage_error(tmp_path, capsys):
     assert transfer_with(tmp_path, "--proj-dim", "7") == EXIT_USAGE
     assert "checkpoint d_p=" in capsys.readouterr().err

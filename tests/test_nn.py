@@ -10,6 +10,7 @@ from gcope.nn import (ARCHITECTURE, Adam, FagcnEncoder, GcnEncoder, MlpDecoder,
                       gcn_normalize, graph_readout, make_encoder)
 
 from oracles import scalar_adam_trajectory
+from tapewalk import tape_buffers
 
 
 def ring_adjacency(n):
@@ -123,6 +124,21 @@ def test_fagcn_matches_dense_oracle(seed):
 def test_fagcn_eps_validation():
     with pytest.raises(errors.InvalidArgument):
         FagcnEncoder(3, eps=1.5)
+
+
+def test_fagcn_float32_keeps_two_edge_arrays_per_layer():
+    """The gate is two node-level products gathered to the edges, so no
+    array wider than hidden has a row per edge, and each layer keeps at most
+    two edges x hidden arrays: the gathered neighbours and their weighted copy."""
+    hidden, layers = 5, 3
+    enc = FagcnEncoder(4, hidden=hidden, num_layers=layers, seed=0)
+    adj = ring_adjacency(7)
+    x = np.random.default_rng(0).standard_normal((7, 4)).astype(np.float32)
+    out = enc.forward(Tensor(x), adj)
+    assert out.dtype == np.float32
+    per_edge = [b for b in tape_buffers(out) if b.ndim == 2 and b.shape[0] == adj.nnz]
+    assert max(b.shape[1] for b in per_edge) <= hidden
+    assert sum(b.shape == (adj.nnz, hidden) for b in per_edge) <= 2 * layers
 
 
 def test_adam_zero_grad_leaves_params():
