@@ -32,6 +32,11 @@ class CoordinatorSet:
     self_loops: bool = True
     features: Param = field(default=None, repr=False)
 
+    def __post_init__(self):
+        if self.per_dataset < 0:
+            raise errors.InvalidArgument(
+                f"coordinators_per_dataset must be >= 0, got {self.per_dataset}")
+
     def init_features(self, num_datasets: int, d_p: int, seed: int = 0,
                       dtype=np.float32) -> Param:
         rows = num_datasets * self.per_dataset

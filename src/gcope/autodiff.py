@@ -6,16 +6,16 @@ backpropagated once and afterwards only leaves (such as `Param`s) hold a
 `.grad`. Tensors made under `no_grad()` record no graph. Sparse matrices
 enter only as constants: adjacencies through `spmm`, and the row sums
 behind `gather_rows`' backward and `scatter_add_rows`' forward as products
-with a constant 0/1 CSR matrix. That matrix lists each output row's
-source rows in ascending order (a stable argsort of the index), and SciPy
-adds a row's terms in that order with exact multiplications by 1, so the
-sums are bit-identical to `np.add.at`'s sequential ones. The op set is
-exactly what the encoders, decoder, and losses need; nothing more.
+with the transpose of a 0/1 selector (row k holds a 1 in column idx[k]).
+That transpose is a CSC matrix, which SciPy multiplies one column at a
+time, k = 0, 1, ..., adding rows[k] onto row idx[k]: `np.add.at`'s order,
+with exact multiplications by 1, so the sums are bit-identical to its
+sequential ones. The op set is exactly what the encoders, decoder, and
+losses need; nothing more.
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -263,21 +263,15 @@ def concat_rows(tensors: list[Tensor]) -> Tensor:
                   parents=tuple(tensors), backward=bwd)
 
 
-def _sum_rows(rows: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
-    """out[r] = sum of rows[k] over k with idx[k] == r, bit-identical to
-    `np.add.at` into zeros of rows' dtype (see the module docstring).
+def _selector(idx: np.ndarray, n: int, dtype) -> sp.csr_matrix:
+    """The len(idx) x n 0/1 matrix whose row k has its 1 in column idx[k].
 
-    Raises IndexError unless 0 <= idx < n_rows.
+    Raises IndexError unless 0 <= idx < n.
     """
-    if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
-        raise IndexError(f"row index out of range [0, {n_rows})")
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(idx, minlength=n_rows), out=indptr[1:])
-    ones = sp.csr_matrix((np.ones(idx.size, dtype=rows.dtype),
-                          np.argsort(idx, kind="stable"), indptr),
-                         shape=(n_rows, idx.size))
-    flat = rows.reshape(idx.size, math.prod(rows.shape[1:]))
-    return (ones @ flat).reshape((n_rows,) + rows.shape[1:])
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise IndexError(f"row index out of range [0, {n})")
+    return sp.csr_matrix((np.ones(idx.size, dtype=dtype), idx, np.arange(idx.size + 1)),
+                         shape=(idx.size, n))
 
 
 def gather_rows(t: Tensor, idx: np.ndarray) -> Tensor:
@@ -285,7 +279,7 @@ def gather_rows(t: Tensor, idx: np.ndarray) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
 
     def bwd(g):
-        t._accum(_sum_rows(g, idx, t.data.shape[0]))
+        t._accum(_selector(idx, t.data.shape[0], g.dtype).T @ g)
     return Tensor(t.data[idx], parents=(t,), backward=bwd)
 
 
@@ -296,7 +290,8 @@ def scatter_add_rows(t: Tensor, idx: np.ndarray, n_rows: int) -> Tensor:
 
     def bwd(g):
         t._accum(g[idx])
-    return Tensor(_sum_rows(t.data, idx, n_rows), parents=(t,), backward=bwd)
+    return Tensor(_selector(idx, n_rows, t.data.dtype).T @ t.data, parents=(t,),
+                  backward=bwd)
 
 
 def spmm(a: sp.csr_matrix, t: Tensor) -> Tensor:

@@ -153,7 +153,8 @@ def run_ablation(kind: str, grid: list, sources: list[GraphDataset],
 def runtime_scaling_probe(sizes: list[int], m: int = 2, c: int = 1,
                           enc_kind: str = "gcn", batch_size: int = 8,
                           d: int = 16, seed: int = 0) -> list[tuple[int, float]]:
-    """Wall-clock seconds per pretraining epoch on synthetic data at each N."""
+    """CPU seconds (`time.process_time`) per pretraining epoch on synthetic data
+    at each N; unlike wall time, they leave out time spent preempted."""
     out = []
     for n_total in sizes:
         per = n_total // m
@@ -164,9 +165,9 @@ def runtime_scaling_probe(sizes: list[int], m: int = 2, c: int = 1,
         # and would measure block size rather than total-node scaling.
         cfg = PretrainConfig(epochs=1, batch_size=batch_size, hops=1, seed=seed)
         coords = CoordinatorSet(per_dataset=c)
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         pretrain(sources, proj_cfg, coords, enc_kind, cfg, hidden=32)
-        out.append((n_total, time.perf_counter() - t0))
+        out.append((n_total, time.process_time() - t0))
     return out
 
 

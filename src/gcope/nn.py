@@ -143,6 +143,8 @@ def make_encoder(enc_kind: str, d_p: int, hidden: int = 100, num_layers: int = 2
                  activation: str = "relu", fagcn_eps: float = 0.3, seed: int = 0,
                  dtype=np.float32):
     """An encoder from `d_p` projected input dims to `hidden` output dims."""
+    if hidden < 1:
+        raise errors.InvalidArgument(f"hidden must be >= 1, got {hidden}")
     if enc_kind == "gcn":
         dims = [d_p] + [hidden] * num_layers
         return GcnEncoder(dims, activation=activation, seed=seed, dtype=dtype)

@@ -105,14 +105,17 @@ def test_losses_grads(seed):
 
 
 # 300 unsorted indices into 8 rows, so every hit row sums dozens of terms;
-# rows 1, 5 and 6 are never hit
+# rows 1, 5 and 6 are never hit. FAGCN's edge rows come sorted, its columns not.
 ROW_SUM_IDX = np.random.default_rng(1).choice([0, 2, 3, 4, 7], size=300)
 
 
+# widths () and (1,) take SciPy's one-vector product, (3,) and (64,) its
+# multi-column one
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("width", [(), (3,)])
-@pytest.mark.parametrize("idx", [ROW_SUM_IDX, np.zeros(0, dtype=np.int64)],
-                         ids=["mixed", "empty"])
+@pytest.mark.parametrize("width", [(), (3,), (1,), (64,)])
+@pytest.mark.parametrize("idx", [ROW_SUM_IDX, np.sort(ROW_SUM_IDX),
+                                 np.zeros(0, dtype=np.int64)],
+                         ids=["mixed", "sorted", "empty"])
 def test_row_sums_match_add_at(dtype, width, idx):
     rng = np.random.default_rng(0)
     # magnitudes spread over 1e-4..1e4 so any change of summation order shows
@@ -131,6 +134,10 @@ def test_row_sums_match_add_at(dtype, width, idx):
 def test_row_sum_index_out_of_range_raises():
     with pytest.raises(IndexError):
         scatter_add_rows(Tensor(np.ones((3, 2))), np.array([0, 3, 1]), 3)
+    # -1 passes the forward gather (NumPy wraps it); the backward must refuse it
+    for bad in (-1, 3):
+        with pytest.raises(IndexError):
+            gather_rows(Param(np.ones((3, 2))), np.array([0, bad, 1])).sum().backward()
 
 
 def test_shared_first_gradient_survives_accumulation():

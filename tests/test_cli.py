@@ -97,7 +97,8 @@ def test_malformed_number_is_usage_error(tmp_path, capsys, argv, config_text):
 @pytest.mark.parametrize("argv", [
     ("--kind", "inter_edges", "--grid", "full,dynamic:abc"),
     ("--kind", "lambda_sweep", "--grid", "0.1", "--repeats", "0"),
-], ids=["bad-later-point", "zero-repeats"])
+    ("--kind", "coordinator_count", "--grid", "1,-1"),
+], ids=["bad-later-point", "zero-repeats", "negative-count"])
 def test_ablate_rejects_bad_settings_before_any_pretraining(tmp_path, capsys,
                                                              monkeypatch, argv):
     def no_pretraining(*args, **kwargs):
@@ -198,7 +199,8 @@ def test_flag_the_encoder_ignores_is_usage_error(tmp_path, capsys, flags, key):
 
 
 @pytest.mark.parametrize("flag, value", [("--epochs", "-3"), ("--batch-size", "1"),
-                                         ("--hops", "0")])
+                                         ("--hops", "0"),
+                                         ("--coordinators-per-dataset", "-1")])
 def test_pretrain_size_below_minimum_is_usage_error(tmp_path, capsys, monkeypatch,
                                                      flag, value):
     def no_pretraining(*args, **kwargs):
@@ -209,6 +211,16 @@ def test_pretrain_size_below_minimum_is_usage_error(tmp_path, capsys, monkeypatc
     ckpt = tmp_path / "m.ckpt"
     assert run("pretrain", "--sources", a, "--out", str(ckpt), *PRETRAIN_FLAGS,
                flag, value) == EXIT_USAGE
+    assert "error: InvalidArgument:" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+def test_pretrain_zero_hidden_is_usage_error(tmp_path, capsys):
+    # make_encoder checks `hidden` inside pretraining, so nothing is patched out
+    a = synth(tmp_path / "a", seed=1)
+    ckpt = tmp_path / "m.ckpt"
+    assert run("pretrain", "--sources", a, "--out", str(ckpt), *PRETRAIN_FLAGS,
+               "--hidden", "0") == EXIT_USAGE
     assert "error: InvalidArgument:" in capsys.readouterr().err
     assert not ckpt.exists()
 

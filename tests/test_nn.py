@@ -238,6 +238,9 @@ def test_make_encoder_dispatch():
     assert make_encoder("fagcn", 8).kind == "fagcn"
     with pytest.raises(errors.InvalidArgument):
         make_encoder("gat", 8)
+    for kind in ("gcn", "fagcn"):
+        with pytest.raises(errors.InvalidArgument, match="hidden"):
+            make_encoder(kind, 8, hidden=0)
 
 
 def test_gcn_normalize_isolated_nodes_safe():
