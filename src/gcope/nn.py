@@ -19,13 +19,11 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int,
 
 def gcn_normalize(adj: sp.csr_matrix) -> sp.csr_matrix:
     """D^-1/2 (A + I) D^-1/2 with degrees of (A + I)."""
-    n = adj.shape[0]
-    a = (adj + sp.eye(n, format="csr", dtype=adj.dtype)).tocsr()
+    a = (adj + sp.eye(adj.shape[0], format="csr", dtype=adj.dtype)).tocsr()
     a.data = np.minimum(a.data, 1.0)  # keep binary if adj already had self-loops
-    deg = np.asarray(a.sum(axis=1)).ravel()
-    dinv = 1.0 / np.sqrt(deg)
-    d = sp.diags(dinv)
-    return (d @ a @ d).tocsr()
+    dinv = 1.0 / np.sqrt(np.add.reduceat(a.data, a.indptr[:-1]))  # no row is empty
+    a.data = np.repeat(dinv, np.diff(a.indptr)) * a.data * dinv[a.indices]
+    return a
 
 
 _ACTS = {"relu": lambda t: t.relu(), "tanh": lambda t: t.tanh()}
@@ -61,11 +59,16 @@ class GcnEncoder:
             out += [w, b]
         return out
 
-    def forward(self, x: Tensor, adj: sp.csr_matrix) -> Tensor:
-        if x.shape[1] != self.dims[0]:
-            raise errors.ShapeMismatch(
-                f"encoder expects {self.dims[0]} input dims, got {x.shape[1]}")
-        a_hat = gcn_normalize(adj.astype(x.dtype))
+    def prepare(self, adj: sp.csr_matrix) -> sp.csr_matrix:
+        """A graph's constant operator for `forward`, built once per graph:
+        its normalised adjacency in the parameters' dtype."""
+        return gcn_normalize(adj.astype(self.weights[0].data.dtype, copy=False))
+
+    def forward(self, x: Tensor, a_hat: sp.csr_matrix) -> Tensor:
+        """Embeddings of node features `x` on the graph `prepare` gave `a_hat` for."""
+        if x.shape != (a_hat.shape[0], self.dims[0]):
+            raise errors.ShapeMismatch(f"encoder expects {a_hat.shape[0]} x "
+                                       f"{self.dims[0]} features, got {x.shape}")
         act = _ACTS[self.activation]
         h = x
         for w, b in zip(self.weights, self.biases):
@@ -110,15 +113,21 @@ class FagcnEncoder:
     def params(self) -> list[Param]:
         return [self.w_in, self.b_in] + list(self.gates)
 
-    def forward(self, x: Tensor, adj: sp.csr_matrix) -> Tensor:
-        if x.shape[1] != self.in_dim:
-            raise errors.ShapeMismatch(
-                f"encoder expects {self.in_dim} input dims, got {x.shape[1]}")
-        n = adj.shape[0]
+    def prepare(self, adj: sp.csr_matrix) -> tuple:
+        """A graph's constant operator for `forward`, built once per graph: node
+        count, edge rows and cols, and 1/sqrt(d_i d_j) per edge as a tensor."""
         coo = adj.tocoo()
         rows, cols = coo.row.astype(np.int64), coo.col.astype(np.int64)
         deg = np.asarray(adj.sum(axis=1)).ravel()
-        coef = Tensor((1.0 / np.sqrt(deg[rows] * deg[cols])).reshape(-1, 1).astype(x.dtype))
+        coef = (1.0 / np.sqrt(deg[rows] * deg[cols])).reshape(-1, 1)
+        return adj.shape[0], rows, cols, Tensor(coef.astype(self.w_in.data.dtype))
+
+    def forward(self, x: Tensor, operator: tuple) -> Tensor:
+        """Embeddings of node features `x` on the graph `prepare` gave `operator` for."""
+        n, rows, cols, coef = operator
+        if x.shape != (n, self.in_dim):
+            raise errors.ShapeMismatch(
+                f"encoder expects {n} x {self.in_dim} features, got {x.shape}")
         h0 = x @ self.w_in + self.b_in
         residual = h0 * Tensor(np.asarray(self.eps, dtype=h0.dtype))
         top, bottom = np.arange(self.hidden), np.arange(self.hidden, 2 * self.hidden)

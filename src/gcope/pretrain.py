@@ -60,6 +60,8 @@ class PretrainConfig:
             raise errors.InvalidArgument("temperature must be positive")
         if self.lam < 0:
             raise errors.InvalidArgument("lambda must be nonnegative")
+        if not 0.0 <= self.learning_rate < np.inf:
+            raise errors.InvalidArgument("learning_rate must be finite and >= 0")
         for key, low in (("epochs", 0), ("batch_size", 2), ("hops", 1)):
             if getattr(self, key) < low:
                 raise errors.InvalidArgument(f"{key} must be >= {low}")
@@ -170,11 +172,12 @@ def _perturb_edges(adj: sp.csr_matrix, ratio: float,
                          shape=(n, n)).tocsr()
 
 
-def encode_view(encoder, features: Tensor, view: SampleView) -> Tensor:
+def encode_view(encoder, features: Tensor, view: SampleView, operator) -> Tensor:
+    """`view`'s embeddings; views of one adjacency share its `encoder.prepare`."""
     x = gather_rows(features, view.nodes)
     if view.feature_mask is not None:
         x = x * Tensor(view.feature_mask.astype(x.dtype))
-    return encoder.forward(x, view.adjacency)
+    return encoder.forward(x, operator)
 
 
 def nt_xent(anchors: Tensor, positives: Tensor, temperature: float) -> Tensor:
@@ -200,14 +203,15 @@ def reconstruction_loss(decoder: MlpDecoder, embeddings: Tensor,
 def simgrace_views(encoder, features: Tensor, view: SampleView, eta: float,
                    rng: np.random.Generator):
     """Clean embeddings plus embeddings from a weight-perturbed encoder copy."""
-    clean = encode_view(encoder, features, view)
+    operator = encoder.prepare(view.adjacency)   # the perturbed copy shares it
+    clean = encode_view(encoder, features, view, operator)
     perturbed = encoder.copy()
     for p in perturbed.params():
         std = float(p.data.std())
         if std > 0 and eta != 0.0:
             noise = rng.standard_normal(p.data.shape).astype(p.data.dtype)
             p.data = p.data + eta * std * noise
-    noisy = encode_view(perturbed, features, view)
+    noisy = encode_view(perturbed, features, view, operator)
     return clean, noisy
 
 
@@ -278,9 +282,10 @@ def pretrain_epoch(jg: JointGraph, encoder, decoder, cfg: PretrainConfig,
             v1, v2 = (augment(jg, sample, spec,
                               np.random.default_rng([cfg.seed, epoch, k, i]))
                       for i, spec in enumerate(cfg.augmentations[:2], 1))
-            h1 = encode_view(encoder, features, v1)
-            h2 = encode_view(encoder, features, v2)
-            h_clean = encode_view(encoder, features, sample)
+            shared = encoder.prepare(sample.adjacency)   # attr_mask keeps the adjacency
+            h1, h2, h_clean = (
+                encode_view(encoder, features, v, shared if v.adjacency is sample.adjacency
+                            else encoder.prepare(v.adjacency)) for v in (v1, v2, sample))
         else:
             rng = np.random.default_rng([cfg.seed, epoch, k, 3])
             h_clean, h2 = simgrace_views(encoder, features, sample,

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import errors
 from .amalgam import bfs_ball
@@ -40,16 +39,17 @@ class TransferConfig:
     def __post_init__(self):
         if self.mode not in ("finetune", "prompt"):
             raise errors.InvalidArgument(f"unknown transfer mode {self.mode!r}")
-        if self.epochs < 1:
-            raise errors.InvalidArgument("epochs must be >= 1")
-        if self.prompt_tokens < 1:
-            raise errors.InvalidArgument("prompt_tokens must be >= 1")
+        for key, low in (("epochs", 1), ("prompt_tokens", 1), ("patience", 0)):
+            if getattr(self, key) < low:
+                raise errors.InvalidArgument(f"{key} must be >= {low}")
+        if not 0.0 <= self.learning_rate < np.inf:
+            raise errors.InvalidArgument("learning_rate must be finite and >= 0")
 
 
 @dataclass
 class InducedSubgraph:
     nodes: np.ndarray              # center first, then BFS order
-    adjacency: sp.csr_matrix
+    adjacency: object              # local CSR, or an encoder's `prepare` of it
     features: np.ndarray
 
 
@@ -124,12 +124,14 @@ def apply_prompt(x: Tensor, tokens: Param) -> Tensor:
     return x + weights @ tokens
 
 
-def _prepare_subgraphs(task: FewShotTask, proj_cfg: ProjectionConfig) -> dict:
-    """Project target features to d_p and induce subgraphs for all split nodes."""
+def _prepare_subgraphs(task: FewShotTask, proj_cfg: ProjectionConfig, encoder) -> dict:
+    """Project target features to d_p; induce and `encoder.prepare` each split
+    node's subgraph, keeping the operator in place of the adjacency."""
     feats = svd_project(task.target.features, proj_cfg).matrix
     ids = np.concatenate([task.train_ids, task.val_ids, task.test_ids])
-    return {int(v): induce_subgraph(task.target, int(v), task.hops, features=feats)
-            for v in ids}
+    subs = (induce_subgraph(task.target, int(v), task.hops, features=feats) for v in ids)
+    return {int(v): replace(sub, adjacency=encoder.prepare(sub.adjacency))
+            for v, sub in zip(ids, subs)}
 
 
 def _transfer(encoder, task: FewShotTask, cfg: TransferConfig, proj_cfg: ProjectionConfig,
@@ -142,7 +144,7 @@ def _transfer(encoder, task: FewShotTask, cfg: TransferConfig, proj_cfg: Project
     head_b = Param(np.zeros(task.c_way, dtype=np.float32), name="head.b")
     model = TrainedModel(encoder=enc, head_w=head_w, head_b=head_b, prompt_tokens=tokens,
                          readout=cfg.readout,
-                         subgraph_cache=_prepare_subgraphs(task, proj_cfg))
+                         subgraph_cache=_prepare_subgraphs(task, proj_cfg, enc))
     trainable = ([tokens] if tokens is not None else enc.params()) + [head_w, head_b]
     opt = Adam(trainable, lr=cfg.learning_rate)
     train_labels = task.target.labels[task.train_ids]
@@ -237,7 +239,7 @@ def macro_ovr_auc(y_true: np.ndarray, scores: np.ndarray) -> float:
 @no_grad()
 def predict_scores(model: TrainedModel, task: FewShotTask,
                    ids: np.ndarray, subs: dict = None) -> np.ndarray:
-    """Logits of split nodes `ids` from their induced subgraphs in `subs`
+    """Logits of split nodes `ids` from their prepared subgraphs in `subs`
     (default: the model's `subgraph_cache`, built for `task`'s splits)."""
     subs = model.subgraph_cache if subs is None else subs
     rows = []

@@ -3,10 +3,12 @@
 Everything here is deliberately brute-force and written without reusing
 library internals: cyclic Jacobi eigensolver, dense joint-adjacency
 materialization, loop-based losses, scalar Adam, np.add.at row sums,
-Floyd-Warshall distances, central finite differences.
+diagonal-matrix GCN normalisation, Floyd-Warshall distances, central finite
+differences.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def jacobi_eigh(a: np.ndarray, sweeps: int = 100, tol: float = 1e-13):
@@ -102,6 +104,16 @@ def add_at_row_sum(rows: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray
     out = np.zeros((n_rows,) + rows.shape[1:], dtype=rows.dtype)
     np.add.at(out, idx, rows)
     return out
+
+
+def diags_gcn_normalize(adj):
+    """D^-1/2 (A + I) D^-1/2 as two products with a sparse diagonal matrix,
+    with the degrees of the binary A + I."""
+    n = adj.shape[0]
+    a = (adj + sp.eye(n, format="csr", dtype=adj.dtype)).tocsr()
+    a.data = np.minimum(a.data, 1.0)
+    d = sp.diags(1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel()))
+    return (d @ a @ d).tocsr()
 
 
 def brute_mse(pred: np.ndarray, target: np.ndarray) -> float:

@@ -131,12 +131,12 @@ def _grad_setup(seed, enc_kind, objective, d_p=4, hidden=5, tau=0.5, lam=0.2):
         for nodes, adj, mask in zip(samples, locals_, masks):
             x = gather_rows(feats, nodes)
             if objective == "graphcl":
-                h1 = enc.forward(x * mask, adj)
-                h2 = enc.forward(x, adj)
+                h1 = enc.forward(x * mask, enc.prepare(adj))
+                h2 = enc.forward(x, enc.prepare(adj))
             else:
-                h1 = enc.forward(x, adj)
-                h2 = perturbed.forward(x, adj)
-            h_clean = enc.forward(x, adj)
+                h1 = enc.forward(x, enc.prepare(adj))
+                h2 = perturbed.forward(x, perturbed.prepare(adj))
+            h_clean = enc.forward(x, enc.prepare(adj))
             z1.append(graph_readout(h1, np.arange(nodes.size)).reshape(1, -1))
             z2.append(graph_readout(h2, np.arange(nodes.size)).reshape(1, -1))
             ordinary = np.flatnonzero(nodes < 6)
@@ -182,7 +182,7 @@ def test_criterion_03_full_loss_gradients_match_finite_differences(enc_kind,
         adj = sp.csr_matrix(np.ones((4, 4)) - np.eye(4))
 
         def ploss():
-            h = enc.forward(apply_prompt(Tensor(x.copy()), tokens), adj)
+            h = enc.forward(apply_prompt(Tensor(x.copy()), tokens), enc.prepare(adj))
             logits = graph_readout(h, np.arange(4)).reshape(1, -1) @ head
             return softmax_cross_entropy(logits, np.array([1]))
 
@@ -320,8 +320,8 @@ def test_criterion_08_prompt_contract():
     adj = sp.csr_matrix((np.ones(2, np.float32), ([0, 1], [1, 0])), shape=(6, 6))
     prompted = apply_prompt(Tensor(x.copy()), Param(np.zeros((10, 100), np.float32)))
     assert prompted.data.tobytes() == x.tobytes()
-    assert enc.forward(prompted, adj).data.tobytes() == \
-        enc.forward(Tensor(x.copy()), adj).data.tobytes()
+    assert enc.forward(prompted, enc.prepare(adj)).data.tobytes() == \
+        enc.forward(Tensor(x.copy()), enc.prepare(adj)).data.tobytes()
 
     # 10 x 100 tokens + 100 x 5 head + 5 biases
     assert trainable_param_count(model) == 1505

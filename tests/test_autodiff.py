@@ -302,11 +302,12 @@ def test_no_grad_nests_and_restores_recording_after_an_exception():
 def test_logits_for_under_no_grad_has_no_tape(prompt):
     rng = np.random.default_rng(0)
     tokens = Param(rng.standard_normal((2, 4)), name="tokens") if prompt else None
-    model = TrainedModel(encoder=make_encoder("gcn", 4, hidden=5, seed=0),
+    enc = make_encoder("gcn", 4, hidden=5, seed=0)
+    model = TrainedModel(encoder=enc,
                          head_w=Param(rng.standard_normal((5, 3)), name="head.w"),
                          head_b=Param(np.zeros(3), name="head.b"), prompt_tokens=tokens)
     sub = InducedSubgraph(nodes=np.arange(4),
-                          adjacency=sp.csr_matrix(np.ones((4, 4)) - np.eye(4)),
+                          adjacency=enc.prepare(sp.csr_matrix(np.ones((4, 4)) - np.eye(4))),
                           features=rng.standard_normal((4, 4)).astype(np.float32))
     taped = model.logits_for(sub)
     with no_grad():

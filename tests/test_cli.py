@@ -200,7 +200,8 @@ def test_flag_the_encoder_ignores_is_usage_error(tmp_path, capsys, flags, key):
 
 @pytest.mark.parametrize("flag, value", [("--epochs", "-3"), ("--batch-size", "1"),
                                          ("--hops", "0"),
-                                         ("--coordinators-per-dataset", "-1")])
+                                         ("--coordinators-per-dataset", "-1"),
+                                         ("--lr", "-1"), ("--lr", "nan"), ("--lr", "inf")])
 def test_pretrain_size_below_minimum_is_usage_error(tmp_path, capsys, monkeypatch,
                                                      flag, value):
     def no_pretraining(*args, **kwargs):
@@ -243,7 +244,10 @@ def test_transfer_architecture_mismatch_is_usage_error(tmp_path, capsys, flags, 
     ("--shots", "0"),
     ("--mode", "prompt", "--prompt-tokens", "0"),
     ("--repeats", "0"),
-], ids=["shots", "prompt-tokens", "repeats"])
+    ("--patience", "-1"),
+    ("--transfer-lr", "-1"),
+    ("--transfer-lr", "nan"),
+], ids=["shots", "prompt-tokens", "repeats", "patience", "negative-rate", "nan-rate"])
 def test_transfer_zero_count_is_usage_error(tmp_path, capsys, flags):
     assert transfer_with(tmp_path, *flags) == EXIT_USAGE
     assert "error: InvalidArgument:" in capsys.readouterr().err

@@ -5,11 +5,16 @@ import pytest
 import scipy.sparse as sp
 
 from gcope import errors
+from gcope.amalgam import CoordinatorSet, bfs_ball, build_joint_graph
 from gcope.autodiff import Param, Tensor
+from gcope.graphstore import synth_dataset
 from gcope.nn import (ARCHITECTURE, Adam, FagcnEncoder, GcnEncoder, MlpDecoder,
                       gcn_normalize, graph_readout, make_encoder)
+from gcope.pretrain import local_adjacency
+from gcope.projection import ProjectionConfig, project_all
+from gcope.transfer import induce_subgraph
 
-from oracles import scalar_adam_trajectory
+from oracles import diags_gcn_normalize, scalar_adam_trajectory
 from tapewalk import tape_buffers
 
 
@@ -30,7 +35,7 @@ def test_gcn_isolated_node_identity_weights():
     enc = GcnEncoder([3, 3], activation="relu", seed=0)
     enc.weights[0].data = np.eye(3, dtype=np.float32)
     x = np.array([[1.0, -2.0, 0.5]], dtype=np.float32)
-    out = enc.forward(Tensor(x), sp.csr_matrix((1, 1)))
+    out = enc.forward(Tensor(x), enc.prepare(sp.csr_matrix((1, 1))))
     assert np.allclose(out.data, np.maximum(x, 0))
 
 
@@ -38,7 +43,7 @@ def test_gcn_equal_features_equal_outputs():
     enc = GcnEncoder([2, 4], seed=1)
     x = np.ones((2, 2), dtype=np.float32)
     adj = sp.csr_matrix(np.array([[0, 1], [1, 0]], dtype=np.float32))
-    out = enc.forward(Tensor(x), adj).data
+    out = enc.forward(Tensor(x), enc.prepare(adj)).data
     assert np.allclose(out[0], out[1])
 
 
@@ -53,7 +58,7 @@ def test_gcn_matches_dense_oracle(seed):
                 a[u, v] = a[v, u] = 1
     enc = GcnEncoder([3, 4, 2], activation="tanh", seed=seed, dtype=np.float64)
     x = rng.standard_normal((n, 3))
-    got = enc.forward(Tensor(x), sp.csr_matrix(a)).data
+    got = enc.forward(Tensor(x), enc.prepare(sp.csr_matrix(a))).data
     h = dense_gcn_layer(a, x, enc.weights[0].data, enc.biases[0].data)
     h = dense_gcn_layer(a, h, enc.weights[1].data, enc.biases[1].data)
     assert np.abs(got - h).max() < 1e-6
@@ -68,8 +73,9 @@ def test_gcn_permutation_equivariance():
     x = rng.standard_normal((n, 3)).astype(np.float32)
     enc = GcnEncoder([3, 4], seed=2)
     perm = rng.permutation(n)
-    out = enc.forward(Tensor(x), sp.csr_matrix(a)).data
-    out_p = enc.forward(Tensor(x[perm]), sp.csr_matrix(a[np.ix_(perm, perm)])).data
+    out = enc.forward(Tensor(x), enc.prepare(sp.csr_matrix(a))).data
+    out_p = enc.forward(Tensor(x[perm]),
+                        enc.prepare(sp.csr_matrix(a[np.ix_(perm, perm)]))).data
     assert np.allclose(out[perm], out_p, atol=1e-6)
 
 
@@ -80,7 +86,7 @@ def test_fagcn_zero_gates_pure_residual():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((5, 3)).astype(np.float32)
     adj = ring_adjacency(5)
-    out = enc.forward(Tensor(x), adj).data
+    out = enc.forward(Tensor(x), enc.prepare(adj)).data
     h0 = x @ enc.w_in.data + enc.b_in.data
     assert np.allclose(out, 0.3 * h0, atol=1e-6)
 
@@ -88,7 +94,7 @@ def test_fagcn_zero_gates_pure_residual():
 def test_fagcn_isolated_node_residual():
     enc = FagcnEncoder(2, hidden=3, eps=0.5, seed=1)
     x = np.array([[1.0, 2.0]], dtype=np.float32)
-    out = enc.forward(Tensor(x), sp.csr_matrix((1, 1))).data
+    out = enc.forward(Tensor(x), enc.prepare(sp.csr_matrix((1, 1)))).data
     h0 = x @ enc.w_in.data + enc.b_in.data
     assert np.allclose(out, 0.5 * h0, atol=1e-6)
 
@@ -105,7 +111,7 @@ def test_fagcn_matches_dense_oracle(seed):
     enc = FagcnEncoder(3, hidden=3, num_layers=2, eps=0.3, seed=seed,
                        dtype=np.float64)
     x = rng.standard_normal((n, 3))
-    got = enc.forward(Tensor(x), sp.csr_matrix(a)).data
+    got = enc.forward(Tensor(x), enc.prepare(sp.csr_matrix(a))).data
 
     deg = a.sum(axis=1)
     h0 = x @ enc.w_in.data + enc.b_in.data
@@ -134,7 +140,7 @@ def test_fagcn_float32_keeps_two_edge_arrays_per_layer():
     enc = FagcnEncoder(4, hidden=hidden, num_layers=layers, seed=0)
     adj = ring_adjacency(7)
     x = np.random.default_rng(0).standard_normal((7, 4)).astype(np.float32)
-    out = enc.forward(Tensor(x), adj)
+    out = enc.forward(Tensor(x), enc.prepare(adj))
     assert out.dtype == np.float32
     per_edge = [b for b in tape_buffers(out) if b.ndim == 2 and b.shape[0] == adj.nnz]
     assert max(b.shape[1] for b in per_edge) <= hidden
@@ -226,7 +232,7 @@ def test_decoder_shapes_and_copy_independent():
 @pytest.mark.parametrize("kind", ["gcn", "fagcn"])
 def test_encoder_copy_independent(kind):
     check_copy_independent(make_encoder(kind, 4, hidden=8, seed=0),
-                           lambda m, x: m.forward(x, ring_adjacency(5)), (5, 8))
+                           lambda m, x: m.forward(x, m.prepare(ring_adjacency(5))), (5, 8))
 
 
 def test_architecture_names_make_encoder_parameters():
@@ -246,3 +252,41 @@ def test_make_encoder_dispatch():
 def test_gcn_normalize_isolated_nodes_safe():
     a = gcn_normalize(sp.csr_matrix((3, 3)))
     assert np.allclose(a.toarray(), np.eye(3))
+
+
+def normalize_cases():
+    """Ego graphs, a hops=2 ball through a coordinator, a graph that already
+    has self-loops, and isolated nodes."""
+    g = synth_dataset(400, 4, 8, 0.8, 0)
+    cases = [induce_subgraph(g, c, 2).adjacency for c in range(0, 400, 10)]
+    sources = [synth_dataset(n, 2, 8, 0.7, i) for i, n in enumerate((200, 150))]
+    jg = build_joint_graph(project_all(sources, ProjectionConfig(d_p=6)),
+                           [s.adjacency for s in sources], CoordinatorSet(per_dataset=1))
+    cases.append(local_adjacency(jg.adjacency, bfs_ball(jg.adjacency, 0, 2)))
+    cases.append((ring_adjacency(6) + sp.eye(6)).tocsr())
+    cases.append(sp.csr_matrix((3, 3)))
+    return cases
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gcn_normalize_matches_diags_oracle_bytes(dtype):
+    rng = np.random.default_rng(0)
+    cases = normalize_cases()
+    assert cases[-3].shape[0] == 200 + 2    # its whole source and both coordinators
+    for adj in cases:
+        adj = adj.astype(dtype)
+        got, want = gcn_normalize(adj), diags_gcn_normalize(adj)
+        h = rng.standard_normal((adj.shape[0], 16)).astype(dtype)
+        assert got.dtype == want.dtype == dtype
+        for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
+                     (got.data, want.data), (got @ h, want @ h)):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["gcn", "fagcn"])
+@pytest.mark.parametrize("rows", [3, 5])
+def test_feature_rows_must_match_the_operator(kind, rows):
+    enc = make_encoder(kind, 4, hidden=8, seed=0)
+    x = Tensor(np.ones((rows, 4), dtype=np.float32))
+    with pytest.raises(errors.ShapeMismatch, match=rf"4 x 4 features, got \({rows}, 4\)"):
+        enc.forward(x, enc.prepare(ring_adjacency(4)))

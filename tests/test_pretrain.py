@@ -11,7 +11,7 @@ from gcope.autodiff import Tensor
 from gcope.graphstore import synth_dataset
 from gcope.nn import Adam, MlpDecoder, make_encoder
 from gcope.pretrain import (AugmentationSpec, PretrainConfig, augment,
-                            make_sample, nt_xent, pretrain,
+                            encode_view, make_sample, nt_xent, pretrain,
                             reconstruction_loss, simgrace_views)
 from gcope.projection import ProjectionConfig, project_all
 
@@ -264,6 +264,24 @@ def test_simgrace_reproducible_and_leaves_encoder_untouched():
     assert np.array_equal(n1.data, n2.data)
     for p, old in zip(enc.params(), before):
         assert np.array_equal(p.data, old)
+
+
+def test_simgrace_passes_share_one_operator_bytewise():
+    """Both FAGCN passes use the clean encoder's operator; preparing one per
+    pass gives the same bytes."""
+    _, jg, _ = small_joint()
+    s, feats = first_sample(jg), jg.feature_tensor()
+    enc = make_encoder("fagcn", jg.base_features.shape[1], hidden=8, seed=0)
+    clean, noisy = simgrace_views(enc, feats, s, 0.5, np.random.default_rng(4))
+    rng, perturbed = np.random.default_rng(4), enc.copy()
+    for p in perturbed.params():    # simgrace_views' perturbation, replayed
+        if p.data.std() > 0:
+            noise = rng.standard_normal(p.data.shape).astype(p.data.dtype)
+            p.data = p.data + 0.5 * float(p.data.std()) * noise
+    assert clean.data.tobytes() != noisy.data.tobytes()
+    for e, h in ((enc, clean), (perturbed, noisy)):
+        assert encode_view(e, feats, s, e.prepare(s.adjacency)).data.tobytes() == \
+            h.data.tobytes()
 
 
 def test_simgrace_zero_variance_weight_not_perturbed():

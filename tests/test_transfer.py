@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,24 @@ def test_zero_learning_rate_changes_nothing():
     # the source encoder object itself is never mutated
     for p, old in zip(enc.params(), before):
         assert np.array_equal(p.data, old)
+
+
+@pytest.mark.parametrize("mode", ["finetune", "prompt"])
+def test_each_ego_graph_is_normalised_once_per_call(monkeypatch, mode):
+    nn_module = importlib.import_module("gcope.nn")
+    real, normalised = nn_module.gcn_normalize, []
+
+    def counting(adj):
+        normalised.append(adj.shape)
+        return real(adj)
+
+    monkeypatch.setattr(nn_module, "gcn_normalize", counting)
+    task = build_fewshot_task(target_graph(), 1, seed=0)
+    run = finetune if mode == "finetune" else prompt_transfer
+    run(pretrained_encoder(), task, TransferConfig(mode=mode, epochs=3),
+        ProjectionConfig(d_p=8))
+    splits = task.train_ids.size + task.val_ids.size + task.test_ids.size
+    assert len(normalised) == splits
 
 
 def test_predict_scores_builds_no_tape(monkeypatch):
