@@ -26,7 +26,6 @@ class CoordinatorSet:
     """Learnable coordinator features plus wiring policy."""
 
     per_dataset: int = 1
-    init_scheme: str = "gaussian"      # "zeros" or "gaussian" (sigma 1/sqrt(d_p))
     inter_mode: str = "full"           # "full", "none", or "dynamic"
     dynamic_threshold: float = 0.0
     self_loops: bool = True
@@ -37,18 +36,12 @@ class CoordinatorSet:
             raise errors.InvalidArgument(
                 f"coordinators_per_dataset must be >= 0, got {self.per_dataset}")
 
-    def init_features(self, num_datasets: int, d_p: int, seed: int = 0,
-                      dtype=np.float32) -> Param:
-        rows = num_datasets * self.per_dataset
-        if self.init_scheme == "zeros":
-            data = np.zeros((rows, d_p), dtype=dtype)
-        elif self.init_scheme == "gaussian":
-            sigma = 1.0 / np.sqrt(d_p)
-            rng = np.random.default_rng([seed, 0xC00])
-            data = (sigma * rng.standard_normal((rows, d_p))).astype(dtype)
-        else:
-            raise errors.InvalidArgument(f"unknown init scheme {self.init_scheme!r}")
-        self.features = Param(data, name="coordinators")
+    def init_features(self, num_datasets: int, d_p: int, seed: int = 0) -> Param:
+        """Draw each coordinator's features from N(0, 1/d_p), as float32."""
+        rng = np.random.default_rng([seed, 0xC00])
+        sigma = 1.0 / np.sqrt(d_p)
+        data = sigma * rng.standard_normal((num_datasets * self.per_dataset, d_p))
+        self.features = Param(data.astype(np.float32), name="coordinators")
         return self.features
 
 

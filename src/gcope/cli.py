@@ -32,32 +32,24 @@ EXIT_OK, EXIT_RUNTIME, EXIT_USAGE = 0, 1, 2
 
 def _coords(r: dict) -> CoordinatorSet:
     mode, thr = cfgmod.parse_inter_mode(r["inter_mode"])
-    return CoordinatorSet(per_dataset=r["coordinators_per_dataset"],
-                          init_scheme=r["coordinator_init"], inter_mode=mode,
+    return CoordinatorSet(per_dataset=r["coordinators_per_dataset"], inter_mode=mode,
                           dynamic_threshold=thr, self_loops=r["self_loops"])
 
 
 def _resolved(args) -> dict:
-    """Schema defaults <- the --config file <- the flags given."""
-    flags = {}
-    for key, (typ, _) in cfgmod.SCHEMA.items():
-        val = getattr(args, f"cfg_{key}")
-        flags[key] = val == "true" if typ is bool and val is not None else val
+    """Schema defaults <- the --config file <- the flags given. A flag's value
+    goes through the parser a file's value does, after argparse has finished."""
+    flags = {key: cfgmod._parse(key, val) for key in cfgmod.SCHEMA
+             if (val := getattr(args, f"cfg_{key}")) is not None}
     file_values = cfgmod.load_config_file(args.config) if args.config else {}
     return cfgmod.resolve(file_values, flags)
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="key=value config file (flags override it)")
-    for key, (typ, default) in cfgmod.SCHEMA.items():
-        flag = "--" + key.replace("_", "-")
-        if typ is bool:
-            p.add_argument(flag, dest=f"cfg_{key}", default=None,
-                           choices=["true", "false"],
-                           help=f"{key} (default {default})")
-        else:
-            p.add_argument(flag, dest=f"cfg_{key}", type=typ, default=None,
-                           help=f"{key} (default {default})")
+    for key, (_typ, default) in cfgmod.SCHEMA.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=f"cfg_{key}",
+                       help=f"{key} (default {default})")
 
 
 def cmd_synth(args) -> int:
@@ -135,19 +127,17 @@ def _experiment_params(r: dict, transfer: bool = True) -> ExperimentParams:
     """The resolved config as experiment settings. With transfer=False the
     transfer settings are neither read nor validated: `pretrain` uses none."""
     encoder = _architecture(r)
-    proj_cfg = ProjectionConfig(d_p=encoder.pop("d_p"),
-                                l2_normalize=r["l2_normalize_features"])
+    proj_cfg = ProjectionConfig(d_p=encoder.pop("d_p"))
     pretrain_cfg = PretrainConfig(
         objective=r["objective"], temperature=r["tau"], lam=r["lambda"],
         epochs=r["epochs"], batch_size=r["batch_size"], hops=r["hops"],
         perturb_scale=r["perturb_scale"], learning_rate=r["lr"], seed=r["seed"],
         augmentations=(AugmentationSpec(r["aug1"], r["aug_ratio"]),
-                       AugmentationSpec(r["aug2"], r["aug_ratio"])),
-        readout=r["readout"])
+                       AugmentationSpec(r["aug2"], r["aug_ratio"])))
     transfer_cfg = TransferConfig(
         mode=r["mode"], epochs=r["transfer_epochs"], learning_rate=r["transfer_lr"],
         patience=r["patience"], prompt_tokens=r["prompt_tokens"],
-        readout=r["readout"], seed=r["seed"]) if transfer else TransferConfig()
+        seed=r["seed"]) if transfer else TransferConfig()
     return ExperimentParams(encoder=encoder, k_shot=r["shots"], hops=r["hops"],
                             repeats=r["repeats"], base_seed=r["seed"],
                             proj_cfg=proj_cfg, pretrain_cfg=pretrain_cfg,

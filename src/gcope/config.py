@@ -11,10 +11,8 @@ from . import errors
 # key -> (type, default)
 SCHEMA = {
     "proj_dim": (int, 100),
-    "l2_normalize_features": (bool, False),
     "coordinators_per_dataset": (int, 1),
     "inter_mode": (str, "full"),          # full | none | dynamic:<threshold>
-    "coordinator_init": (str, "gaussian"),
     "self_loops": (bool, True),
     "objective": (str, "graphcl"),
     "tau": (float, 0.5),
@@ -28,7 +26,6 @@ SCHEMA = {
     "aug1": (str, "node_drop"),
     "aug2": (str, "attr_mask"),
     "aug_ratio": (float, 0.2),
-    "readout": (str, "mean"),
     "enc_kind": (str, "gcn"),
     "hidden": (int, 100),
     "num_layers": (int, 2),

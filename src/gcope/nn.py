@@ -1,4 +1,4 @@
-"""Encoders, reconstruction decoder, Adam optimizer, and graph readout."""
+"""Encoders, reconstruction decoder, Adam optimizer, and mean graph readout."""
 
 from __future__ import annotations
 
@@ -215,8 +215,8 @@ class Adam:
             p.zero_grad()
 
 
-def graph_readout(embeddings: Tensor, node_subset, mode: str = "mean") -> Tensor:
-    """Pool rows of `embeddings` over a node subset into one vector.
+def graph_readout(embeddings: Tensor, node_subset) -> Tensor:
+    """Mean of the rows of `embeddings` over a node subset, as one vector.
 
     Indices are sorted before pooling so any ordering of the subset
     yields bit-identical output.
@@ -226,15 +226,4 @@ def graph_readout(embeddings: Tensor, node_subset, mode: str = "mean") -> Tensor
         raise errors.EmptySubset("readout over an empty node subset")
     if idx.min() < 0 or idx.max() >= embeddings.shape[0]:
         raise errors.IndexOutOfRange("readout subset index out of range")
-    sub = gather_rows(embeddings, idx)
-    if mode == "mean":
-        return sub.mean(axis=0)
-    if mode == "sum":
-        return sub.sum(axis=0)
-    if mode == "max":
-        # subgradient: route to the first argmax per column
-        am = sub.data.argmax(axis=0)
-        mask = np.zeros_like(sub.data)
-        mask[am, np.arange(sub.data.shape[1])] = 1.0
-        return (sub * Tensor(mask)).sum(axis=0)
-    raise errors.InvalidArgument(f"unknown readout mode {mode!r}")
+    return gather_rows(embeddings, idx).mean(axis=0)

@@ -51,7 +51,6 @@ class PretrainConfig:
     seed: int = 0
     augmentations: tuple = (AugmentationSpec("node_drop", 0.2),
                             AugmentationSpec("attr_mask", 0.2))
-    readout: str = "mean"
 
     def __post_init__(self):
         if self.objective not in ("graphcl", "simgrace"):
@@ -292,8 +291,7 @@ def pretrain_epoch(jg: JointGraph, encoder, decoder, cfg: PretrainConfig,
                                          cfg.perturb_scale, rng)
             h1 = h_clean
         for h, rows in ((h1, z1_rows), (h2, z2_rows)):
-            rows.append(graph_readout(h, np.arange(h.shape[0]),
-                                      cfg.readout).reshape(1, -1))
+            rows.append(graph_readout(h, np.arange(h.shape[0])).reshape(1, -1))
         # the center is ordinary, so every sample has reconstruction targets
         ordinary = np.flatnonzero(~jg.is_coordinator(sample.nodes))
         recon_terms.append(reconstruction_loss(

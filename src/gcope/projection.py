@@ -19,7 +19,6 @@ from .graphstore import GraphDataset
 @dataclass
 class ProjectionConfig:
     d_p: int = 100
-    l2_normalize: bool = False
 
     def __post_init__(self):
         if self.d_p < 1:
@@ -63,10 +62,6 @@ def svd_project(x: np.ndarray, cfg: ProjectionConfig) -> ProjectedFeatures:
 
     out = np.zeros((n, cfg.d_p), dtype=np.float32)
     out[:, :k] = scores.astype(np.float32)
-    if cfg.l2_normalize:
-        nrm = np.linalg.norm(out, axis=1, keepdims=True)
-        nrm[nrm == 0] = 1.0
-        out = out / nrm
     return ProjectedFeatures(matrix=out, singular_values=sigma.astype(np.float64),
                              basis=q)
 

@@ -33,7 +33,6 @@ class TransferConfig:
     learning_rate: float = 1e-4
     patience: int = 20
     prompt_tokens: int = 10
-    readout: str = "mean"
     seed: int = 0
 
     def __post_init__(self):
@@ -49,8 +48,9 @@ class TransferConfig:
 @dataclass
 class InducedSubgraph:
     nodes: np.ndarray              # center first, then BFS order
-    adjacency: object              # local CSR, or an encoder's `prepare` of it
+    adjacency: object              # local CSR; None once `operator` replaces it
     features: np.ndarray
+    operator: object = None        # the encoder's `prepare` of the adjacency
 
 
 @dataclass
@@ -104,15 +104,17 @@ class TrainedModel:
     head_w: Param
     head_b: Param
     prompt_tokens: Param = None
-    readout: str = "mean"
     subgraph_cache: dict = field(default_factory=dict)   # split node id -> subgraph
 
     def logits_for(self, sub: InducedSubgraph) -> Tensor:
+        if sub.operator is None:
+            raise errors.InvalidArgument("subgraph has no encoder operator: a raw "
+                                         "`induce_subgraph` result needs `encoder.prepare`")
         x = Tensor(sub.features)
         if self.prompt_tokens is not None:
             x = apply_prompt(x, self.prompt_tokens)
-        h = self.encoder.forward(x, sub.adjacency)
-        z = graph_readout(h, np.arange(sub.nodes.size), self.readout)
+        h = self.encoder.forward(x, sub.operator)
+        z = graph_readout(h, np.arange(sub.nodes.size))
         return z.reshape(1, -1) @ self.head_w + self.head_b
 
 
@@ -126,11 +128,11 @@ def apply_prompt(x: Tensor, tokens: Param) -> Tensor:
 
 def _prepare_subgraphs(task: FewShotTask, proj_cfg: ProjectionConfig, encoder) -> dict:
     """Project target features to d_p; induce and `encoder.prepare` each split
-    node's subgraph, keeping the operator in place of the adjacency."""
+    node's subgraph, keeping the operator in place of the raw adjacency."""
     feats = svd_project(task.target.features, proj_cfg).matrix
     ids = np.concatenate([task.train_ids, task.val_ids, task.test_ids])
     subs = (induce_subgraph(task.target, int(v), task.hops, features=feats) for v in ids)
-    return {int(v): replace(sub, adjacency=encoder.prepare(sub.adjacency))
+    return {int(v): replace(sub, adjacency=None, operator=encoder.prepare(sub.adjacency))
             for v, sub in zip(ids, subs)}
 
 
@@ -143,7 +145,6 @@ def _transfer(encoder, task: FewShotTask, cfg: TransferConfig, proj_cfg: Project
     head_w = Param(np.zeros((enc.out_dim, task.c_way), dtype=np.float32), name="head.w")
     head_b = Param(np.zeros(task.c_way, dtype=np.float32), name="head.b")
     model = TrainedModel(encoder=enc, head_w=head_w, head_b=head_b, prompt_tokens=tokens,
-                         readout=cfg.readout,
                          subgraph_cache=_prepare_subgraphs(task, proj_cfg, enc))
     trainable = ([tokens] if tokens is not None else enc.params()) + [head_w, head_b]
     opt = Adam(trainable, lr=cfg.learning_rate)
@@ -167,9 +168,8 @@ def _transfer(encoder, task: FewShotTask, cfg: TransferConfig, proj_cfg: Project
             since_best += 1
             if since_best >= cfg.patience:
                 break
-    if best is not None:
-        for p, data in zip(trainable, best):
-            p.data = data
+    for p, data in zip(trainable, best):   # epoch 0 always sets best
+        p.data = data
     return model
 
 

@@ -81,15 +81,20 @@ def test_unknown_config_key_rejected(tmp_path):
      None),
     (("pretrain", "--inter-mode", "dynamic:abc"), None),
     (("pretrain",), "inter_mode=dynamic:x\n"),
-], ids=["lambda-grid", "count-grid", "inter-mode-flag", "inter-mode-config"])
+    (("pretrain", "--hidden", "abc"), None),
+    (("pretrain",), "hidden=abc\n"),
+    (("pretrain", "--self-loops", "maybe"), None),
+], ids=["lambda-grid", "count-grid", "inter-mode-flag", "inter-mode-config",
+        "hidden-flag", "hidden-config", "bool-flag"])
 def test_malformed_number_is_usage_error(tmp_path, capsys, argv, config_text):
     a = synth(tmp_path / "a")
     extra = ()
     if config_text is not None:
         (tmp_path / "run.cfg").write_text(config_text)
         extra = ("--config", str(tmp_path / "run.cfg"))
-    code = run(*(x.format(a=a) for x in argv), "--sources", a,
-               "--out", str(tmp_path / "out"), *PRETRAIN_FLAGS, *extra)
+    command, *flags = (x.format(a=a) for x in argv)   # flags last: they win
+    code = run(command, "--sources", a, "--out", str(tmp_path / "out"),
+               *PRETRAIN_FLAGS, *flags, *extra)
     assert code == EXIT_USAGE
     assert "error: InvalidArgument:" in capsys.readouterr().err
 
@@ -111,6 +116,35 @@ def test_ablate_rejects_bad_settings_before_any_pretraining(tmp_path, capsys,
     assert code == EXIT_USAGE
     assert "error: InvalidArgument:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_bool_flag_parses_as_in_a_config_file(tmp_path):
+    dumps = [str(pretrain(tmp_path, f"{word}.ckpt", ("--self-loops", word))) + ".config"
+             for word in ("no", "false")]
+    assert "self_loops=False" in open(dumps[0]).read().split()
+    assert open(dumps[0]).read() == open(dumps[1]).read()
+
+
+# a valid value other than the default for each str key
+OTHER_STR = {"inter_mode": "none", "objective": "simgrace", "aug1": "subgraph",
+             "aug2": "edge_perturb", "enc_kind": "fagcn", "activation": "tanh",
+             "mode": "prompt"}
+
+
+@pytest.mark.parametrize("key", sorted(config.SCHEMA))
+def test_every_config_key_changes_what_the_cli_builds(key):
+    typ, default = config.SCHEMA[key]
+    if typ is str:
+        value = OTHER_STR[key]
+    else:
+        value = not default if typ is bool else default + 1 if typ is int else default * 2
+    base = {"enc_kind": "fagcn"} if key == "fagcn_eps" else {}
+
+    def built(overrides):
+        r = config.resolve(overrides={**base, **overrides})
+        return cli._experiment_params(r), cli._coords(r), cli._architecture(r)
+
+    assert built({key: value}) != built({})
 
 
 def test_architecture_record_has_the_checkpoint_keys():

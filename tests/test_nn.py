@@ -201,8 +201,6 @@ def test_readout_matches_direct_mean_and_order_invariant():
 
 def test_readout_modes_and_errors():
     emb = Tensor(np.array([[1.0, -1.0], [3.0, 2.0]]))
-    assert np.allclose(graph_readout(emb, [0, 1], "sum").data, [4.0, 1.0])
-    assert np.allclose(graph_readout(emb, [0, 1], "max").data, [3.0, 2.0])
     with pytest.raises(errors.EmptySubset):
         graph_readout(emb, [])
 

@@ -1,10 +1,11 @@
-"""Every `gcope` command shown in README.md parses with the real CLI parser."""
+"""Every `gcope` command shown in README.md parses with the real CLI parser,
+and every config flag it gives parses as that key's value."""
 
 import re
 import shlex
 from pathlib import Path
 
-from gcope.cli import build_parser
+from gcope.cli import _resolved, build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -25,4 +26,6 @@ def test_readme_gcope_commands_parse():
     subcommands = {argv[0] for argv in commands}
     assert subcommands == {"synth", "pretrain", "transfer", "eval", "ablate", "inspect"}
     for argv in commands:
-        parser.parse_args(argv)
+        args = parser.parse_args(argv)
+        if hasattr(args, "config"):
+            _resolved(args)

@@ -7,7 +7,7 @@ from gcope import errors
 from gcope.autodiff import Param, Tensor
 from gcope.graphstore import synth_dataset
 from gcope.nn import make_encoder
-from gcope.projection import ProjectionConfig
+from gcope.projection import ProjectionConfig, svd_project
 from gcope.transfer import (TrainedModel, TransferConfig, accuracy, apply_prompt,
                             binary_auc,
                             build_fewshot_task, evaluate_model, finetune,
@@ -290,6 +290,20 @@ def test_predict_scores_reads_only_the_split_subgraphs():
     node = int(task.test_ids[0])
     with pytest.raises(errors.IndexOutOfRange, match=f"node {node} "):
         predict_scores(model, task, task.test_ids, subs={})
+
+
+def test_predict_scores_rejects_subgraphs_the_encoder_has_not_prepared():
+    # a raw ego graph's adjacency is not the GCN operator: scoring it would
+    # silently skip the self-loops and normalisation
+    g = target_graph()
+    task = build_fewshot_task(g, 1, seed=0)
+    model = finetune(pretrained_encoder(), task, TransferConfig(epochs=1),
+                     ProjectionConfig(d_p=8))
+    feats = svd_project(g.features, ProjectionConfig(d_p=8)).matrix
+    raw = {int(v): induce_subgraph(g, int(v), task.hops, features=feats)
+           for v in task.test_ids}
+    with pytest.raises(errors.InvalidArgument, match="operator"):
+        predict_scores(model, task, task.test_ids, subs=raw)
 
 
 def test_transfer_config_validation():
