@@ -215,15 +215,15 @@ class Adam:
             p.zero_grad()
 
 
-def graph_readout(embeddings: Tensor, node_subset) -> Tensor:
-    """Mean of the rows of `embeddings` over a node subset, as one vector.
-
-    Indices are sorted before pooling so any ordering of the subset
-    yields bit-identical output.
-    """
-    idx = np.unique(np.asarray(node_subset, dtype=np.int64))
-    if idx.size == 0:
-        raise errors.EmptySubset("readout over an empty node subset")
-    if idx.min() < 0 or idx.max() >= embeddings.shape[0]:
-        raise errors.IndexOutOfRange("readout subset index out of range")
-    return gather_rows(embeddings, idx).mean(axis=0)
+def graph_readout(embeddings: Tensor, offsets) -> Tensor:
+    """Mean embedding of each graph in a batch, one row per graph: graph b is
+    rows offsets[b]:offsets[b + 1]. Each graph's rows are summed in order, so
+    its mean is bit-identical to the mean of those rows alone."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    sizes = np.diff(offsets)
+    if sizes.size == 0 or sizes.min() < 1:
+        raise errors.EmptySubset("readout over an empty graph")
+    if offsets[0] != 0 or offsets[-1] != embeddings.shape[0]:
+        raise errors.IndexOutOfRange(f"offsets do not span {embeddings.shape[0]} rows")
+    segment = np.repeat(np.arange(sizes.size), sizes)
+    return scatter_add_rows(embeddings, segment, sizes.size) * (1.0 / sizes[:, None])

@@ -250,17 +250,16 @@ def pretrain(graphs: list[GraphDataset], proj_cfg: ProjectionConfig,
 
 
 def _tape_bytes(jg: JointGraph, encoder, cfg: PretrainConfig, samples: list) -> int:
-    """A step's forward tape, estimated from its samples. Each view (3 per
-    sample for graphcl, 2 for simgrace) keeps its input gather (nodes x d_p),
-    its readout gather (nodes x hidden) and per layer four nodes x hidden
-    (GCN) or three nodes x hidden plus two edges x hidden (FAGCN). The clean
-    view's reconstruction keeps four nodes x hidden and six nodes x d_p, and
-    the step keeps the joint feature matrix twice (parameters not counted)."""
+    """A step's forward tape, estimated from its samples. Each view (3 per sample for
+    graphcl, 2 for simgrace) keeps its input gather (nodes x d_p) and per layer four
+    nodes x hidden (GCN) or three nodes x hidden plus two edges x hidden (FAGCN). The
+    clean view's reconstruction keeps four nodes x hidden and six nodes x d_p, and the
+    step keeps the joint feature matrix twice (parameters not counted)."""
     d_p, hidden = jg.base_features.shape[1], encoder.out_dim
     nodes = np.array([s.nodes.size for s in samples])
     edges = np.array([s.adjacency.nnz for s in samples]) * (encoder.kind == "fagcn")
     layer = (3 if encoder.kind == "fagcn" else 4) * nodes * hidden + 2 * edges * hidden
-    view = nodes * (d_p + hidden) + encoder.num_layers * layer
+    view = nodes * d_p + encoder.num_layers * layer
     values = (3 if cfg.objective == "graphcl" else 2) * view + nodes * (4 * hidden + 6 * d_p)
     return (int(values.sum()) + 2 * jg.base_features.size) * encoder.params()[0].data.itemsize
 
@@ -291,7 +290,7 @@ def pretrain_epoch(jg: JointGraph, encoder, decoder, cfg: PretrainConfig,
                                          cfg.perturb_scale, rng)
             h1 = h_clean
         for h, rows in ((h1, z1_rows), (h2, z2_rows)):
-            rows.append(graph_readout(h, np.arange(h.shape[0])).reshape(1, -1))
+            rows.append(graph_readout(h, [0, h.shape[0]]))
         # the center is ordinary, so every sample has reconstruction targets
         ordinary = np.flatnonzero(~jg.is_coordinator(sample.nodes))
         recon_terms.append(reconstruction_loss(

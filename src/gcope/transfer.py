@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import errors
 from .amalgam import bfs_ball
-from .autodiff import (Param, Tensor, concat_rows, no_grad, softmax_cross_entropy,
-                       softmax_rows)
+from .autodiff import (Param, Tensor, concat_rows, gather_rows, no_grad,
+                       softmax_cross_entropy, softmax_rows)
 from .graphstore import GraphDataset
 from .nn import Adam, graph_readout
 from .projection import ProjectionConfig, svd_project
@@ -45,11 +46,16 @@ class TransferConfig:
             raise errors.InvalidArgument("learning_rate must be finite and >= 0")
 
 
+BATCH_NODES = 4096   # nodes per batch, bounding a forward's activations
+
+
 @dataclass
 class InducedSubgraph:
-    nodes: np.ndarray              # center first, then BFS order
-    adjacency: object              # local CSR; None once `operator` replaces it
-    features: np.ndarray
+    """Ego graphs as one disjoint-union batch: graph b is rows offsets[b]:offsets[b + 1]."""
+    nodes: np.ndarray              # target node of each row; each center first, then BFS order
+    offsets: np.ndarray            # B + 1 row offsets
+    features: np.ndarray           # the target's feature rows that `nodes` index
+    adjacency: object              # block-diagonal CSR; None once `operator` replaces it
     operator: object = None        # the encoder's `prepare` of the adjacency
 
 
@@ -87,15 +93,24 @@ def build_fewshot_task(g: GraphDataset, k_shot: int, hops: int = 2,
                        hops=hops)
 
 
-def induce_subgraph(g: GraphDataset, center: int, hops: int,
-                    features: np.ndarray = None) -> InducedSubgraph:
-    if not (0 <= center < g.num_nodes):
-        raise errors.IndexOutOfRange(f"center {center} outside [0, {g.num_nodes})")
-    nodes = bfs_ball(g.adjacency, center, hops)
-    feats = g.features if features is None else features
-    return InducedSubgraph(nodes=nodes,
-                           adjacency=g.adjacency[nodes][:, nodes].tocsr(),
-                           features=feats[nodes])
+def induce_subgraph(g: GraphDataset, centers, hops: int) -> InducedSubgraph:
+    """The ego graphs of `centers` (an array, or one center) as one batch. Its canonical CSR
+    keeps the entries of the balls' rows of `g.adjacency` whose column is in the row's ball."""
+    centers = np.atleast_1d(np.asarray(centers, dtype=np.int64))
+    if centers.size == 0 or ((centers < 0) | (centers >= g.num_nodes)).any():
+        raise errors.IndexOutOfRange(f"need centers, all in [0, {g.num_nodes})")
+    balls = [bfs_ball(g.adjacency, int(c), hops) for c in centers]
+    sizes = [b.size for b in balls]
+    nodes, offsets = np.concatenate(balls), np.concatenate([[0], np.cumsum(sizes)])
+    keys = np.repeat(np.arange(centers.size), sizes) * g.num_nodes + nodes
+    by_key = np.argsort(keys)
+    rows = g.adjacency[nodes]
+    row = np.repeat(np.arange(nodes.size), np.diff(rows.indptr))
+    edge_keys = keys[row] - nodes[row] + rows.indices
+    col = by_key[np.minimum(np.searchsorted(keys, edge_keys, sorter=by_key), nodes.size - 1)]
+    keep = keys[col] == edge_keys
+    return InducedSubgraph(nodes, offsets, g.features, sp.csr_matrix(
+        (rows.data[keep], (row[keep], col[keep])), shape=(nodes.size, nodes.size)))
 
 
 @dataclass
@@ -104,18 +119,19 @@ class TrainedModel:
     head_w: Param
     head_b: Param
     prompt_tokens: Param = None
-    subgraph_cache: dict = field(default_factory=dict)   # split node id -> subgraph
+    subgraph_cache: dict = field(default_factory=dict)   # split node id -> (batch, row)
 
-    def logits_for(self, sub: InducedSubgraph) -> Tensor:
-        if sub.operator is None:
-            raise errors.InvalidArgument("subgraph has no encoder operator: a raw "
+    def logits_for(self, batch: InducedSubgraph) -> Tensor:
+        """B x c logits of a prepared batch; the row-wise prompt goes on the
+        target's rows before the batch gathers them."""
+        if batch.operator is None:
+            raise errors.InvalidArgument("batch has no encoder operator: a raw "
                                          "`induce_subgraph` result needs `encoder.prepare`")
-        x = Tensor(sub.features)
+        x = Tensor(batch.features)
         if self.prompt_tokens is not None:
             x = apply_prompt(x, self.prompt_tokens)
-        h = self.encoder.forward(x, sub.operator)
-        z = graph_readout(h, np.arange(sub.nodes.size))
-        return z.reshape(1, -1) @ self.head_w + self.head_b
+        h = self.encoder.forward(gather_rows(x, batch.nodes), batch.operator)
+        return graph_readout(h, batch.offsets) @ self.head_w + self.head_b
 
 
 def apply_prompt(x: Tensor, tokens: Param) -> Tensor:
@@ -127,39 +143,54 @@ def apply_prompt(x: Tensor, tokens: Param) -> Tensor:
 
 
 def _prepare_subgraphs(task: FewShotTask, proj_cfg: ProjectionConfig, encoder) -> dict:
-    """Project target features to d_p; induce and `encoder.prepare` each split
-    node's subgraph, keeping the operator in place of the raw adjacency."""
-    feats = svd_project(task.target.features, proj_cfg).matrix
-    ids = np.concatenate([task.train_ids, task.val_ids, task.test_ids])
-    subs = (induce_subgraph(task.target, int(v), task.hops, features=feats) for v in ids)
-    return {int(v): replace(sub, adjacency=None, operator=encoder.prepare(sub.adjacency))
-            for v, sub in zip(ids, subs)}
+    """Project target features to d_p; cut each split's ego graphs into batches of at
+    most BATCH_NODES nodes (or one larger graph) and `encoder.prepare` each one."""
+    feats, cache = svd_project(task.target.features, proj_cfg).matrix, {}
+    for ids in (task.train_ids, task.val_ids, task.test_ids):
+        split, cuts = induce_subgraph(task.target, ids, task.hops), [0]
+        while cuts[-1] < ids.size:
+            end = np.searchsorted(split.offsets, split.offsets[cuts[-1]] + BATCH_NODES, "right")
+            cuts.append(max(cuts[-1] + 1, end - 1))
+        for lo, hi in zip(cuts, cuts[1:]):
+            s, e = split.offsets[lo], split.offsets[hi]
+            batch = InducedSubgraph(split.nodes[s:e], split.offsets[lo:hi + 1] - s, feats,
+                                    None, encoder.prepare(split.adjacency[s:e, s:e]))
+            cache.update((int(v), (batch, r)) for r, v in enumerate(ids[lo:hi]))
+    return cache
+
+
+def _logits(model: TrainedModel, ids: np.ndarray, subs: dict) -> Tensor:
+    """Logits of split nodes `ids`, in order, encoding each batch they touch once."""
+    missing = [int(v) for v in ids if int(v) not in subs]
+    if missing:
+        raise errors.IndexOutOfRange(f"node {missing[0]} is in no split of the task")
+    touched = {id(subs[int(v)][0]): subs[int(v)][0] for v in ids}   # in first-touch order
+    starts = dict(zip(touched, np.cumsum([0] + [b.offsets.size - 1 for b in touched.values()])))
+    rows = [starts[id(batch)] + row for batch, row in (subs[int(v)] for v in ids)]
+    return gather_rows(concat_rows([model.logits_for(b) for b in touched.values()]), rows)
 
 
 def _transfer(encoder, task: FewShotTask, cfg: TransferConfig, proj_cfg: ProjectionConfig,
               tokens: Param = None) -> TrainedModel:
     """Train a fresh zero-initialized linear head on a copy of `encoder`, plus
     the prompt `tokens` if given (the encoder then stays frozen) or else the
-    whole encoder, and keep the values of the best validation epoch."""
+    whole encoder, and keep the values of the best validation-accuracy epoch."""
     enc = encoder.copy()
     head_w = Param(np.zeros((enc.out_dim, task.c_way), dtype=np.float32), name="head.w")
     head_b = Param(np.zeros(task.c_way, dtype=np.float32), name="head.b")
-    model = TrainedModel(encoder=enc, head_w=head_w, head_b=head_b, prompt_tokens=tokens,
-                         subgraph_cache=_prepare_subgraphs(task, proj_cfg, enc))
+    model = TrainedModel(enc, head_w, head_b, tokens, _prepare_subgraphs(task, proj_cfg, enc))
     trainable = ([tokens] if tokens is not None else enc.params()) + [head_w, head_b]
     opt = Adam(trainable, lr=cfg.learning_rate)
-    train_labels = task.target.labels[task.train_ids]
     best, best_val, since_best = None, -1.0, 0
     for epoch in range(cfg.epochs):
-        logit_rows = [model.logits_for(model.subgraph_cache[int(n)])
-                      for n in task.train_ids]
-        logits = concat_rows(logit_rows)
-        loss = softmax_cross_entropy(logits, train_labels)
+        loss = softmax_cross_entropy(_logits(model, task.train_ids, model.subgraph_cache),
+                                     task.target.labels[task.train_ids])
         if not np.isfinite(loss.data):
             raise errors.Diverged(f"non-finite loss at epoch {epoch}")
         loss.backward()
         opt.step()
-        val_acc = evaluate_model(model, task, "val").acc
+        val_acc = accuracy(task.target.labels[task.val_ids],
+                           predict_scores(model, task, task.val_ids).argmax(axis=1))
         if val_acc > best_val:
             best_val = val_acc
             best = [p.data.copy() for p in trainable]
@@ -239,15 +270,9 @@ def macro_ovr_auc(y_true: np.ndarray, scores: np.ndarray) -> float:
 @no_grad()
 def predict_scores(model: TrainedModel, task: FewShotTask,
                    ids: np.ndarray, subs: dict = None) -> np.ndarray:
-    """Logits of split nodes `ids` from their prepared subgraphs in `subs`
+    """Logits of split nodes `ids` from their prepared batches in `subs`
     (default: the model's `subgraph_cache`, built for `task`'s splits)."""
-    subs = model.subgraph_cache if subs is None else subs
-    rows = []
-    for node in ids:
-        if int(node) not in subs:
-            raise errors.IndexOutOfRange(f"node {int(node)} is in no split of the task")
-        rows.append(model.logits_for(subs[int(node)]).data.reshape(-1))
-    return np.vstack(rows)
+    return _logits(model, ids, model.subgraph_cache if subs is None else subs).data
 
 
 def evaluate_model(model: TrainedModel, task: FewShotTask, split: str) -> MetricReport:

@@ -3,7 +3,7 @@
 Everything here is deliberately brute-force and written without reusing
 library internals: cyclic Jacobi eigensolver, dense joint-adjacency
 materialization, loop-based losses, scalar Adam, np.add.at row sums,
-diagonal-matrix GCN normalisation, Floyd-Warshall distances, central finite
+the per-graph subset mean, diagonal-matrix GCN normalisation, Floyd-Warshall distances, central finite
 differences.
 """
 
@@ -104,6 +104,14 @@ def add_at_row_sum(rows: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray
     out = np.zeros((n_rows,) + rows.shape[1:], dtype=rows.dtype)
     np.add.at(out, idx, rows)
     return out
+
+
+def subset_mean(embeddings: np.ndarray, subset) -> np.ndarray:
+    """The mean of the rows in `subset`, computed the way the per-graph
+    readout did before batching: sorted rows summed along axis 0, then one
+    product with 1/count in float64."""
+    idx = np.unique(np.asarray(subset, dtype=np.int64))
+    return embeddings[idx].sum(axis=0) * np.float64(1.0 / idx.size)
 
 
 def diags_gcn_normalize(adj):

@@ -137,8 +137,8 @@ def _grad_setup(seed, enc_kind, objective, d_p=4, hidden=5, tau=0.5, lam=0.2):
                 h1 = enc.forward(x, enc.prepare(adj))
                 h2 = perturbed.forward(x, perturbed.prepare(adj))
             h_clean = enc.forward(x, enc.prepare(adj))
-            z1.append(graph_readout(h1, np.arange(nodes.size)).reshape(1, -1))
-            z2.append(graph_readout(h2, np.arange(nodes.size)).reshape(1, -1))
+            z1.append(graph_readout(h1, [0, nodes.size]))
+            z2.append(graph_readout(h2, [0, nodes.size]))
             ordinary = np.flatnonzero(nodes < 6)
             recons.append(reconstruction_loss(
                 dec, gather_rows(h_clean, ordinary),
@@ -183,7 +183,7 @@ def test_criterion_03_full_loss_gradients_match_finite_differences(enc_kind,
 
         def ploss():
             h = enc.forward(apply_prompt(Tensor(x.copy()), tokens), enc.prepare(adj))
-            logits = graph_readout(h, np.arange(4)).reshape(1, -1) @ head
+            logits = graph_readout(h, [0, 4]) @ head
             return softmax_cross_entropy(logits, np.array([1]))
 
         ploss().backward()

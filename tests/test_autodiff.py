@@ -306,7 +306,7 @@ def test_logits_for_under_no_grad_has_no_tape(prompt):
     model = TrainedModel(encoder=enc,
                          head_w=Param(rng.standard_normal((5, 3)), name="head.w"),
                          head_b=Param(np.zeros(3), name="head.b"), prompt_tokens=tokens)
-    sub = InducedSubgraph(nodes=np.arange(4), adjacency=None,
+    sub = InducedSubgraph(nodes=np.arange(4), offsets=np.array([0, 4]), adjacency=None,
                           features=rng.standard_normal((4, 4)).astype(np.float32),
                           operator=enc.prepare(sp.csr_matrix(np.ones((4, 4)) - np.eye(4))))
     taped = model.logits_for(sub)

@@ -14,7 +14,7 @@ from gcope.pretrain import local_adjacency
 from gcope.projection import ProjectionConfig, project_all
 from gcope.transfer import induce_subgraph
 
-from oracles import diags_gcn_normalize, scalar_adam_trajectory
+from oracles import diags_gcn_normalize, scalar_adam_trajectory, subset_mean
 from tapewalk import tape_buffers
 
 
@@ -184,25 +184,51 @@ def test_adam_nonfinite_update_raises():
 
 def test_readout_single_and_cancellation():
     emb = Tensor(np.array([[1.0, 2.0], [-1.0, -2.0], [5.0, 5.0]]))
-    assert np.allclose(graph_readout(emb, [2]).data, [5.0, 5.0])
-    assert np.allclose(graph_readout(emb, [0, 1]).data, [0.0, 0.0])
+    assert np.allclose(graph_readout(emb, [0, 2, 3]).data, [[0.0, 0.0], [5.0, 5.0]])
 
 
 def test_readout_matches_direct_mean_and_order_invariant():
+    """Each graph's mean is the direct mean of its rows, bit for bit the same
+    whichever graphs share its batch and in which order."""
     rng = np.random.default_rng(2)
-    emb = Tensor(rng.standard_normal((8, 4)))
-    idx = np.array([6, 1, 3, 0, 5])
-    got = graph_readout(emb, idx).data
-    want = sum(emb.data[i] for i in sorted(idx)) / 5
-    assert np.abs(got - want).max() < 1e-7
-    got2 = graph_readout(emb, idx[::-1]).data
-    assert got.tobytes() == got2.tobytes()
+    emb = rng.standard_normal((8, 4))
+    offsets = [0, 3, 4, 8]
+    got = graph_readout(Tensor(emb), offsets).data
+    for b in range(3):
+        rows = range(offsets[b], offsets[b + 1])
+        assert np.abs(got[b] - sum(emb[i] for i in rows) / len(rows)).max() < 1e-7
+    swapped = graph_readout(Tensor(np.vstack([emb[4:], emb[:3], emb[3:4]])), [0, 4, 7, 8])
+    assert swapped.data[[1, 2, 0]].tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("sizes", [(1,), (2,), (21,), (1002,), (2002,), (5, 1, 17, 3),
+                                   (1002, 1, 1000)])
+def test_segment_readout_is_byte_equal_to_the_subset_mean(sizes):
+    """Pretraining's loss bytes rest on this: each graph's mean, and the
+    gradient each of its rows gets, are the per-graph subset mean's."""
+    rng = np.random.default_rng(len(sizes) + sum(sizes))
+    emb = Param(rng.standard_normal((sum(sizes), 64)).astype(np.float32))
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    out = graph_readout(emb, offsets)
+    for b in range(len(sizes)):
+        want = subset_mean(emb.data, np.arange(offsets[b], offsets[b + 1]))
+        assert out.data[b].dtype == want.dtype and out.data[b].tobytes() == want.tobytes()
+    upstream = rng.standard_normal(out.shape)
+    (out * Tensor(upstream)).sum().backward()
+    segment = np.repeat(np.arange(len(sizes)), sizes)
+    want = (upstream * (1.0 / np.asarray(sizes))[:, None]).astype(np.float32)[segment]
+    assert emb.grad.tobytes() == want.tobytes()
 
 
 def test_readout_modes_and_errors():
     emb = Tensor(np.array([[1.0, -1.0], [3.0, 2.0]]))
     with pytest.raises(errors.EmptySubset):
         graph_readout(emb, [])
+    with pytest.raises(errors.EmptySubset):
+        graph_readout(emb, [0, 0, 2])
+    for offsets in ([0, 1], [1, 2], [0, 3]):
+        with pytest.raises(errors.IndexOutOfRange):
+            graph_readout(emb, offsets)
 
 
 def check_copy_independent(model, forward, out_shape):

@@ -1,4 +1,5 @@
 import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from gcope.transfer import (TrainedModel, TransferConfig, accuracy, apply_prompt
                             trainable_param_count)
 
 from oracles import finite_diff_grad, floyd_warshall, rel_err
+
+transfer_module = importlib.import_module("gcope.transfer")
 
 
 def target_graph(n=60, classes=3, d=8, h=0.85, seed=0):
@@ -71,9 +74,9 @@ def test_induce_subgraph_path_example():
     sub = induce_subgraph(g, 2, hops=2)
     # center first, then breadth-first order with index ties ascending
     assert sub.nodes.tolist() == [2, 1, 3, 0, 4]
-    assert sub.nodes[0] == 2
+    assert sub.offsets.tolist() == [0, 5]
     assert sub.adjacency.shape == (5, 5)
-    assert np.array_equal(sub.features, g.features[sub.nodes])
+    assert sub.features is g.features   # the rows that `nodes` index
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -91,6 +94,46 @@ def test_induce_subgraph_center_out_of_range():
     g = target_graph(n=10)
     with pytest.raises(errors.IndexOutOfRange):
         induce_subgraph(g, 10, hops=2)
+    for centers in ([0, 3, 10], [-1, 4], [9, 2, 25, 5], []):
+        with pytest.raises(errors.IndexOutOfRange):
+            induce_subgraph(g, np.array(centers, dtype=np.int64), hops=2)
+
+
+def ball_order(dist, center, hops):
+    """Nodes within `hops` of center by (distance, index): the center, then
+    each BFS level in ascending index order."""
+    ball = np.flatnonzero(dist[center] <= hops)
+    return ball[np.lexsort((ball, dist[center, ball]))]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batch_blocks_are_the_floyd_warshall_balls_induced(seed):
+    g = target_graph(n=30, seed=seed)
+    dense = g.adjacency.toarray()
+    dist = floyd_warshall(dense)
+    rng = np.random.default_rng(seed)
+    centers = rng.integers(0, g.num_nodes, size=12)   # repeats allowed
+    for hops in (1, 2, 3):
+        batch = induce_subgraph(g, centers, hops)
+        adj = batch.adjacency.toarray()
+        assert batch.offsets[0] == 0 and batch.offsets[-1] == batch.nodes.size == adj.shape[0]
+        for b, c in enumerate(centers):
+            s, e = batch.offsets[b], batch.offsets[b + 1]
+            want = ball_order(dist, c, hops)
+            assert batch.nodes[s:e].tolist() == want.tolist()
+            assert np.array_equal(adj[s:e, s:e], dense[np.ix_(want, want)])
+            assert not adj[s:e, :s].any() and not adj[s:e, e:].any()   # block-diagonal
+
+
+def test_batch_csr_is_canonical():
+    g = target_graph(n=60, seed=3)
+    batch = induce_subgraph(g, np.arange(0, 60, 3), hops=2)
+    a = batch.adjacency
+    assert a.format == "csr" and a.has_canonical_format
+    for r in range(a.shape[0]):
+        cols = a.indices[a.indptr[r]:a.indptr[r + 1]]
+        assert np.all(np.diff(cols) > 0)   # sorted, no duplicates
+    assert np.all(a.data == 1.0)
 
 
 # -------------------------------------------------------------------- training
@@ -114,22 +157,93 @@ def test_zero_learning_rate_changes_nothing():
         assert np.array_equal(p.data, old)
 
 
+def cache_batches(model):
+    """The distinct prepared batches of a model's subgraph cache."""
+    return list({id(batch): batch for batch, _ in model.subgraph_cache.values()}.values())
+
+
 @pytest.mark.parametrize("mode", ["finetune", "prompt"])
 def test_each_ego_graph_is_normalised_once_per_call(monkeypatch, mode):
+    """Once per batch, and the batches hold every split node's ego graph once."""
     nn_module = importlib.import_module("gcope.nn")
     real, normalised = nn_module.gcn_normalize, []
 
     def counting(adj):
-        normalised.append(adj.shape)
+        normalised.append(adj.shape[0])
         return real(adj)
 
     monkeypatch.setattr(nn_module, "gcn_normalize", counting)
+    monkeypatch.setattr(transfer_module, "BATCH_NODES", 120)
     task = build_fewshot_task(target_graph(), 1, seed=0)
     run = finetune if mode == "finetune" else prompt_transfer
-    run(pretrained_encoder(), task, TransferConfig(mode=mode, epochs=3),
-        ProjectionConfig(d_p=8))
-    splits = task.train_ids.size + task.val_ids.size + task.test_ids.size
-    assert len(normalised) == splits
+    model = run(pretrained_encoder(), task, TransferConfig(mode=mode, epochs=3),
+                ProjectionConfig(d_p=8))
+    batches = cache_batches(model)
+    assert len(batches) > 3   # the cap cut at least one split
+    assert sorted(normalised) == sorted(b.nodes.size for b in batches)
+    splits = np.concatenate([task.train_ids, task.val_ids, task.test_ids])
+    assert sum(b.offsets.size - 1 for b in batches) == splits.size == len(model.subgraph_cache)
+    for v in splits:
+        batch, row = model.subgraph_cache[int(v)]
+        assert batch.nodes[batch.offsets[row]] == v   # its row holds its own ego graph
+
+
+@pytest.mark.parametrize("kind", ["gcn", "fagcn"])
+@pytest.mark.parametrize("mode", ["finetune", "prompt"])
+def test_no_encoder_forward_sees_more_nodes_than_the_cap(monkeypatch, kind, mode):
+    task = build_fewshot_task(target_graph(), 1, seed=0)
+    balls = induce_subgraph(task.target, np.arange(task.target.num_nodes), task.hops)
+    cap = int(np.diff(balls.offsets).max())   # the largest ego graph fits alone
+    monkeypatch.setattr(transfer_module, "BATCH_NODES", cap)
+    enc = make_encoder(kind, 8, hidden=8, seed=0)
+    seen, forward = [], type(enc).forward
+
+    def spy(self, x, operator):
+        seen.append(x.shape[0])
+        return forward(self, x, operator)
+
+    monkeypatch.setattr(type(enc), "forward", spy)
+    run = finetune if mode == "finetune" else prompt_transfer
+    model = run(enc, task, TransferConfig(mode=mode, epochs=3), ProjectionConfig(d_p=8))
+    predict_scores(model, task, task.test_ids)
+    assert len(cache_batches(model)) > 3 and max(seen) <= cap
+
+
+def test_predict_scores_encodes_each_batch_at_most_once(monkeypatch):
+    monkeypatch.setattr(transfer_module, "BATCH_NODES", 60)
+    task = build_fewshot_task(target_graph(), 1, seed=0)
+    model = finetune(pretrained_encoder(), task, TransferConfig(epochs=1),
+                     ProjectionConfig(d_p=8))
+    encoded, real_logits_for = [], TrainedModel.logits_for
+
+    def spy(self, batch):
+        encoded.append(id(batch))
+        return real_logits_for(self, batch)
+
+    monkeypatch.setattr(TrainedModel, "logits_for", spy)
+    ids = np.concatenate([task.test_ids[::-1], task.train_ids, task.test_ids[:5]])
+    scores = predict_scores(model, task, ids)
+    touched = {id(model.subgraph_cache[int(v)][0]) for v in ids}
+    assert len(touched) > 2
+    assert sorted(encoded) == sorted(touched)
+    # the same rows as scoring one node at a time
+    for i in (0, len(ids) // 2, len(ids) - 1):
+        assert np.array_equal(scores[i], predict_scores(model, task, ids[i:i + 1])[0])
+
+
+def test_predict_scores_reads_each_batch_s_own_features():
+    """Batches prepared for another target score on that target's rows."""
+    task = build_fewshot_task(target_graph(), 1, seed=0)
+    model = finetune(pretrained_encoder(), task, TransferConfig(epochs=2, learning_rate=1e-2),
+                     ProjectionConfig(d_p=8))
+    other = build_fewshot_task(target_graph(n=50, seed=7), 1, seed=1)
+    subs = transfer_module._prepare_subgraphs(other, ProjectionConfig(d_p=8), model.encoder)
+    feats = svd_project(other.target.features, ProjectionConfig(d_p=8)).matrix
+    for v in other.test_ids[:5]:
+        one = induce_subgraph(other.target, v, other.hops)
+        one = replace(one, features=feats, operator=model.encoder.prepare(one.adjacency))
+        np.testing.assert_allclose(predict_scores(model, other, [v], subs=subs)[0],
+                                   model.logits_for(one).data[0], rtol=1e-6, atol=1e-6)
 
 
 def test_predict_scores_builds_no_tape(monkeypatch):
@@ -140,17 +254,50 @@ def test_predict_scores_builds_no_tape(monkeypatch):
     taped = []
     real_logits_for = TrainedModel.logits_for
 
-    def spy(self, sub):
-        out = real_logits_for(self, sub)
+    def spy(self, batch):
+        out = real_logits_for(self, batch)
         taped.append(out.requires_grad)
         return out
 
     monkeypatch.setattr(TrainedModel, "logits_for", spy)
     predict_scores(model, task, task.val_ids)
-    assert len(taped) == task.val_ids.size and not any(taped)
+    val_batches = {id(model.subgraph_cache[int(v)][0]) for v in task.val_ids}
+    assert len(taped) == len(val_batches) and not any(taped)
     # recording is back on once scoring returns
-    model.logits_for(model.subgraph_cache[int(task.train_ids[0])])
+    model.logits_for(model.subgraph_cache[int(task.train_ids[0])][0])
     assert taped[-1]
+
+
+def batch_model(kind, prompt, seed=0):
+    """A model with a random head (and random prompt tokens), so every logit
+    depends on the whole ego graph."""
+    rng = np.random.default_rng(seed)
+    enc = make_encoder(kind, 8, hidden=8, seed=seed)
+    tokens = Param(0.5 * rng.standard_normal((3, 8)).astype(np.float32)) if prompt else None
+    return TrainedModel(encoder=enc, prompt_tokens=tokens,
+                        head_w=Param(rng.standard_normal((8, 3)).astype(np.float32)),
+                        head_b=Param(rng.standard_normal(3).astype(np.float32)))
+
+
+@pytest.mark.parametrize("kind", ["gcn", "fagcn"])
+@pytest.mark.parametrize("prompt", [False, True], ids=["finetune", "prompt"])
+def test_batch_logits_equal_one_graph_batches(kind, prompt):
+    g = target_graph(n=60, seed=5)
+    feats = svd_project(g.features, ProjectionConfig(d_p=8)).matrix
+    model = batch_model(kind, prompt)
+    centers = np.array([0, 17, 3, 59, 17, 42, 8, 33, 21, 50])
+
+    def prepared(c):
+        batch = induce_subgraph(g, c, 2)
+        return replace(batch, features=feats, adjacency=None,
+                       operator=model.encoder.prepare(batch.adjacency))
+
+    many = model.logits_for(prepared(centers)).data
+    one = np.vstack([model.logits_for(prepared(c)).data for c in centers])
+    assert many.shape == (centers.size, 3)
+    np.testing.assert_allclose(many, one, rtol=1e-6, atol=1e-6)
+    assert np.array_equal(many.argmax(axis=1), one.argmax(axis=1))
+    assert many[1].tobytes() == many[4].tobytes()   # a repeated center, same graph
 
 
 def test_finetune_learns_separable_task():
@@ -299,9 +446,8 @@ def test_predict_scores_rejects_subgraphs_the_encoder_has_not_prepared():
     task = build_fewshot_task(g, 1, seed=0)
     model = finetune(pretrained_encoder(), task, TransferConfig(epochs=1),
                      ProjectionConfig(d_p=8))
-    feats = svd_project(g.features, ProjectionConfig(d_p=8)).matrix
-    raw = {int(v): induce_subgraph(g, int(v), task.hops, features=feats)
-           for v in task.test_ids}
+    raw_batch = induce_subgraph(g, task.test_ids, task.hops)
+    raw = {int(v): (raw_batch, row) for row, v in enumerate(task.test_ids)}
     with pytest.raises(errors.InvalidArgument, match="operator"):
         predict_scores(model, task, task.test_ids, subs=raw)
 
