@@ -1,22 +1,3 @@
 """Cross-domain graph pretraining with coordinator virtual nodes."""
 
-from . import errors
-from .amalgam import CoordinatorSet, JointGraph, build_joint_graph
-from .graphstore import (DatasetMeta, GraphDataset, compute_homophily, describe,
-                         load_dataset, synth_dataset, write_dataset)
-from .pretrain import AugmentationSpec, LossReport, PretrainConfig, pretrain
-from .projection import ProjectedFeatures, ProjectionConfig, project_all, svd_project
-from .transfer import (FewShotTask, TransferConfig, build_fewshot_task,
-                       evaluate_model, finetune, induce_subgraph, prompt_transfer)
-
-__all__ = [
-    "errors", "CoordinatorSet", "JointGraph", "build_joint_graph",
-    "DatasetMeta", "GraphDataset", "compute_homophily", "describe",
-    "load_dataset", "synth_dataset", "write_dataset",
-    "AugmentationSpec", "LossReport", "PretrainConfig", "pretrain",
-    "ProjectedFeatures", "ProjectionConfig", "project_all", "svd_project",
-    "FewShotTask", "TransferConfig", "build_fewshot_task", "evaluate_model",
-    "finetune", "induce_subgraph", "prompt_transfer",
-]
-
 __version__ = "0.1.0"

@@ -28,7 +28,6 @@ class CoordinatorSet:
     per_dataset: int = 1
     inter_mode: str = "full"           # "full", "none", or "dynamic"
     dynamic_threshold: float = 0.0
-    self_loops: bool = True
     features: Param = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -146,7 +145,7 @@ def _coordinator_block(coords: CoordinatorSet) -> np.ndarray:
         linked |= linked.T
     else:
         raise errors.InvalidArgument(f"unknown inter_mode {coords.inter_mode!r}")
-    np.fill_diagonal(linked, coords.self_loops)
+    np.fill_diagonal(linked, True)
     return linked
 
 

@@ -221,9 +221,8 @@ class Tensor:
         return Tensor(self.data.sum(axis=axis, keepdims=keepdims), parents=(self,),
                       backward=bwd)
 
-    def mean(self, axis=None, keepdims=False):
-        denom = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / denom)
+    def mean(self):
+        return self.sum() * (1.0 / self.data.size)
 
 
 class Param(Tensor):
@@ -317,10 +316,10 @@ def softmax_rows(t: Tensor) -> Tensor:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def normalize_rows(t: Tensor, eps: float = 0.0) -> Tensor:
+def normalize_rows(t: Tensor) -> Tensor:
     """Rows scaled to unit Euclidean norm. Raises on (near-)zero rows."""
     sq = t.square().sum(axis=1, keepdims=True)
-    if (sq.data <= max(eps, 1e-24)).any():
+    if (sq.data <= 1e-24).any():
         raise errors.ZeroEmbedding("cannot normalize a zero row")
     return t / sq.sqrt()
 

@@ -6,26 +6,18 @@ import argparse
 import os
 import sys
 
-# must happen before numpy spins up its thread pools
-_threads = os.environ.get("GCOPE_THREADS", "0")
-if _threads not in ("", "0"):
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, _threads)
-
-import numpy as np  # noqa: E402
-
-from . import config as cfgmod  # noqa: E402
-from . import errors  # noqa: E402
-from .amalgam import CoordinatorSet  # noqa: E402
-from .checkpoint import config_fingerprint, load_checkpoint, save_checkpoint  # noqa: E402
-from .evalkit import (ExperimentParams, run_ablation, run_gcope,  # noqa: E402
+from . import config as cfgmod
+from . import errors
+from .amalgam import CoordinatorSet
+from .checkpoint import config_fingerprint, load_checkpoint, save_checkpoint
+from .evalkit import (ExperimentParams, run_ablation, run_gcope,
                       run_isolated_pretrain, run_supervised, summary_rows,
                       transfer_repeats, write_summary_csv, write_summary_markdown)
-from .graphstore import describe, load_dataset, synth_dataset, write_dataset  # noqa: E402
-from .nn import ARCHITECTURE  # noqa: E402
-from .pretrain import AugmentationSpec, PretrainConfig, pretrain  # noqa: E402
-from .projection import ProjectionConfig  # noqa: E402
-from .transfer import TransferConfig, evaluate_model  # noqa: E402
+from .graphstore import describe, load_dataset, synth_dataset, write_dataset
+from .nn import ARCHITECTURE
+from .pretrain import AugmentationSpec, PretrainConfig, pretrain
+from .projection import ProjectionConfig
+from .transfer import TransferConfig, evaluate_model
 
 EXIT_OK, EXIT_RUNTIME, EXIT_USAGE = 0, 1, 2
 
@@ -33,7 +25,7 @@ EXIT_OK, EXIT_RUNTIME, EXIT_USAGE = 0, 1, 2
 def _coords(r: dict) -> CoordinatorSet:
     mode, thr = cfgmod.parse_inter_mode(r["inter_mode"])
     return CoordinatorSet(per_dataset=r["coordinators_per_dataset"], inter_mode=mode,
-                          dynamic_threshold=thr, self_loops=r["self_loops"])
+                          dynamic_threshold=thr)
 
 
 def _resolved(args) -> dict:

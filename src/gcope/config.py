@@ -13,7 +13,6 @@ SCHEMA = {
     "proj_dim": (int, 100),
     "coordinators_per_dataset": (int, 1),
     "inter_mode": (str, "full"),          # full | none | dynamic:<threshold>
-    "self_loops": (bool, True),
     "objective": (str, "graphcl"),
     "tau": (float, 0.5),
     "lambda": (float, 0.2),
@@ -43,12 +42,6 @@ SCHEMA = {
 
 def _parse(key: str, raw: str):
     typ, _ = SCHEMA[key]
-    if typ is bool:
-        if str(raw).lower() in ("1", "true", "yes", "on"):
-            return True
-        if str(raw).lower() in ("0", "false", "no", "off"):
-            return False
-        raise errors.InvalidArgument(f"{key}: expected boolean, got {raw!r}")
     try:
         return typ(raw)
     except ValueError as e:

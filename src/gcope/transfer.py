@@ -20,7 +20,6 @@ from .projection import ProjectionConfig, svd_project
 class FewShotTask:
     target: GraphDataset
     c_way: int
-    k_shot: int
     train_ids: np.ndarray
     val_ids: np.ndarray
     test_ids: np.ndarray
@@ -88,9 +87,8 @@ def build_fewshot_task(g: GraphDataset, k_shot: int, hops: int = 2,
     n_val = max(1, min(n_val, rest.size - 1))
     val = np.sort(rest[:n_val])
     test = np.sort(rest[n_val:])
-    return FewShotTask(target=g, c_way=int(classes.size), k_shot=k_shot,
-                       train_ids=train, val_ids=val, test_ids=test,
-                       hops=hops)
+    return FewShotTask(target=g, c_way=int(classes.size), train_ids=train,
+                       val_ids=val, test_ids=test, hops=hops)
 
 
 def induce_subgraph(g: GraphDataset, centers, hops: int) -> InducedSubgraph:

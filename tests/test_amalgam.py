@@ -46,12 +46,12 @@ def test_seven_node_example_full():
     assert adjacency_row(jg, 6) == {3, 4, 5, 6}
 
 
-def test_seven_node_example_none_no_selfloops():
+def test_seven_node_example_none_keeps_coordinator_self_loops():
     proj = fake_projected([3, 2])
     adjs = fake_adjacencies([3, 2])
-    coords = CoordinatorSet(per_dataset=1, inter_mode="none", self_loops=False)
+    coords = CoordinatorSet(per_dataset=1, inter_mode="none")
     jg = build_joint_graph(proj, adjs, coords)
-    assert adjacency_row(jg, 5) == {0, 1, 2}
+    assert adjacency_row(jg, 5) == {0, 1, 2, 5}
 
 
 def test_exhaustive_dense_oracle_sweep():
@@ -68,10 +68,10 @@ def test_exhaustive_dense_oracle_sweep():
                         (m, sizes, c, inter)
 
 
-def bruteforce_dynamic_adjacency(adjs, sizes, c, features, threshold, self_loops):
+def bruteforce_dynamic_adjacency(adjs, sizes, c, features, threshold):
     """The "none" oracle plus every coordinator pair whose cosine, computed
     pair by pair, reaches the threshold; a zero vector links to nothing."""
-    want = dense_joint_adjacency(adjs, sizes, c, "none", self_loops)
+    want = dense_joint_adjacency(adjs, sizes, c, "none", True)
     n = sum(sizes)
     f = features.astype(np.float64)
     for p, q in itertools.permutations(range(f.shape[0]), 2):
@@ -85,24 +85,23 @@ def test_exhaustive_dense_oracle_sweep_dynamic():
     rng = np.random.default_rng(11)
     for m in range(1, 4):
         for sizes in itertools.product([1, 2, 3], repeat=m):
-            for c, thr, loops in itertools.product((1, 2), (-1.0, 0.0, 0.3),
-                                                   (True, False)):
+            for c, thr in itertools.product((1, 2), (-1.0, 0.0, 0.3)):
                 sizes = list(sizes)
                 adjs = fake_adjacencies(sizes, seed=m)
                 coords = CoordinatorSet(per_dataset=c, inter_mode="dynamic",
-                                        dynamic_threshold=thr, self_loops=loops)
+                                        dynamic_threshold=thr)
                 jg = build_joint_graph(fake_projected(sizes), adjs, coords)
                 want = bruteforce_dynamic_adjacency(adjs, sizes, c,
-                                                    coords.features.data, thr, loops)
+                                                    coords.features.data, thr)
                 assert np.array_equal(jg.adjacency.toarray(), want), \
-                    ("build", sizes, c, thr, loops)
+                    ("build", sizes, c, thr)
                 coords.features.data[:] = rng.normal(
                     size=coords.features.data.shape).astype(np.float32)
                 jg = refresh_dynamic_edges(jg, coords)
                 want = bruteforce_dynamic_adjacency(adjs, sizes, c,
-                                                    coords.features.data, thr, loops)
+                                                    coords.features.data, thr)
                 assert np.array_equal(jg.adjacency.toarray(), want), \
-                    ("refresh", sizes, c, thr, loops)
+                    ("refresh", sizes, c, thr)
 
 
 def test_coordinator_degree_formula():

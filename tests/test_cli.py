@@ -1,13 +1,19 @@
 import filecmp
+import inspect
 import os
 
 import numpy as np
 import pytest
 
 from gcope import cli, config, evalkit
+from gcope.amalgam import CoordinatorSet
 from gcope.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from gcope.evalkit import ExperimentParams
 from gcope.graphstore import GraphDataset, write_dataset
-from gcope.nn import ARCHITECTURE
+from gcope.nn import ARCHITECTURE, make_encoder
+from gcope.pretrain import PretrainConfig
+from gcope.projection import ProjectionConfig
+from gcope.transfer import TransferConfig
 
 
 def run(*argv):
@@ -83,9 +89,8 @@ def test_unknown_config_key_rejected(tmp_path):
     (("pretrain",), "inter_mode=dynamic:x\n"),
     (("pretrain", "--hidden", "abc"), None),
     (("pretrain",), "hidden=abc\n"),
-    (("pretrain", "--self-loops", "maybe"), None),
 ], ids=["lambda-grid", "count-grid", "inter-mode-flag", "inter-mode-config",
-        "hidden-flag", "hidden-config", "bool-flag"])
+        "hidden-flag", "hidden-config"])
 def test_malformed_number_is_usage_error(tmp_path, capsys, argv, config_text):
     a = synth(tmp_path / "a")
     extra = ()
@@ -118,13 +123,6 @@ def test_ablate_rejects_bad_settings_before_any_pretraining(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
-def test_bool_flag_parses_as_in_a_config_file(tmp_path):
-    dumps = [str(pretrain(tmp_path, f"{word}.ckpt", ("--self-loops", word))) + ".config"
-             for word in ("no", "false")]
-    assert "self_loops=False" in open(dumps[0]).read().split()
-    assert open(dumps[0]).read() == open(dumps[1]).read()
-
-
 # a valid value other than the default for each str key
 OTHER_STR = {"inter_mode": "none", "objective": "simgrace", "aug1": "subgraph",
              "aug2": "edge_perturb", "enc_kind": "fagcn", "activation": "tanh",
@@ -137,7 +135,7 @@ def test_every_config_key_changes_what_the_cli_builds(key):
     if typ is str:
         value = OTHER_STR[key]
     else:
-        value = not default if typ is bool else default + 1 if typ is int else default * 2
+        value = default + 1 if typ is int else default * 2
     base = {"enc_kind": "fagcn"} if key == "fagcn_eps" else {}
 
     def built(overrides):
@@ -149,6 +147,47 @@ def test_every_config_key_changes_what_the_cli_builds(key):
 
 def test_architecture_record_has_the_checkpoint_keys():
     assert set(cli._architecture(config.resolve())) == set(ARCHITECTURE)
+
+
+def library_defaults() -> dict:
+    """SCHEMA key -> the defaults of every library value that key sets. A
+    caller that builds these objects itself, as the benchmark does, gets
+    what the CLI gets from an empty config."""
+    pre, tr, coords = PretrainConfig(), TransferConfig(), CoordinatorSet()
+    params = ExperimentParams(encoder={})
+    enc = {k: p.default for k, p in inspect.signature(make_encoder).parameters.items()}
+    aug1, aug2 = pre.augmentations
+    return {
+        "proj_dim": [ProjectionConfig().d_p, params.proj_cfg.d_p],
+        "coordinators_per_dataset": [coords.per_dataset],
+        "inter_mode": [(coords.inter_mode, coords.dynamic_threshold)],
+        "objective": [pre.objective], "tau": [pre.temperature], "lambda": [pre.lam],
+        "epochs": [pre.epochs], "batch_size": [pre.batch_size],
+        "hops": [pre.hops, params.hops], "perturb_scale": [pre.perturb_scale],
+        "lr": [pre.learning_rate],
+        "seed": [pre.seed, tr.seed, params.base_seed, enc["seed"]],
+        "aug1": [aug1.kind], "aug2": [aug2.kind], "aug_ratio": [aug1.ratio, aug2.ratio],
+        "hidden": [enc["hidden"]], "num_layers": [enc["num_layers"]],
+        "activation": [enc["activation"]], "fagcn_eps": [enc["fagcn_eps"]],
+        "mode": [tr.mode], "transfer_epochs": [tr.epochs],
+        "transfer_lr": [tr.learning_rate], "patience": [tr.patience],
+        "prompt_tokens": [tr.prompt_tokens],
+        "shots": [params.k_shot], "repeats": [params.repeats],
+    }
+
+
+def test_every_schema_key_but_enc_kind_has_a_library_default():
+    # make_encoder and pretrain take enc_kind without a default
+    assert set(config.SCHEMA) - set(library_defaults()) == {"enc_kind"}
+
+
+@pytest.mark.parametrize("key", sorted(library_defaults()))
+def test_cli_default_equals_library_default(key):
+    default = config.SCHEMA[key][1]
+    if key == "inter_mode":
+        default = config.parse_inter_mode(default)
+    library = library_defaults()[key]
+    assert library == [default] * len(library)
 
 
 def test_flags_override_config_file_in_resolved_dump(tmp_path):

@@ -155,22 +155,22 @@ def test_ablation_points_vary_one_field_of_the_base_coordinators(monkeypatch):
 
     def spy(sources, proj_cfg, coords, enc_kind, cfg, **kw):
         seen.append((coords.per_dataset, coords.inter_mode, coords.dynamic_threshold,
-                     coords.self_loops, coords.features is None, cfg.lam))
+                     coords.features is None, cfg.lam))
         return real_pretrain(sources, proj_cfg, coords, enc_kind, cfg, **kw)
 
     monkeypatch.setattr(evalkit, "pretrain", spy)
     sources, target = tiny_data()
     params = tiny_params(repeats=1)
-    base = CoordinatorSet(per_dataset=2, inter_mode="none", self_loops=False)
+    base = CoordinatorSet(per_dataset=2, inter_mode="none")
     run_ablation("lambda_sweep", [0.5], sources, target, params, base)
     rows = run_ablation("inter_edges", ["full", "dynamic:0.5"], sources, target,
                         params, base)
     run_ablation("coordinator_count", [3], sources, target, params, base)
     assert [p for p, _ in rows] == ["full", "dynamic:0.5"]
-    assert seen == [(2, "none", 0.0, False, True, 0.5),
-                    (2, "full", 0.0, False, True, 0.2),
-                    (2, "dynamic", 0.5, False, True, 0.2),
-                    (3, "none", 0.0, False, True, 0.2)]
+    assert seen == [(2, "none", 0.0, True, 0.5),
+                    (2, "full", 0.0, True, 0.2),
+                    (2, "dynamic", 0.5, True, 0.2),
+                    (3, "none", 0.0, True, 0.2)]
     assert base.features is None
 
 
