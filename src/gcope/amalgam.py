@@ -18,6 +18,7 @@ import scipy.sparse as sp
 
 from . import errors
 from .autodiff import Param, Tensor, concat_rows
+from .graphstore import binary_adjacency
 from .projection import ProjectedFeatures
 
 
@@ -115,12 +116,8 @@ def build_joint_graph(projected: list[ProjectedFeatures],
 def _joint_adjacency(static: np.ndarray, linked: np.ndarray, n: int) -> sp.csr_matrix:
     """Canonical binary CSR of the static (row, col) pairs plus the coordinator
     block `linked` from node n on; a pair stored more than once is one edge."""
-    pairs = np.hstack([static, n + np.argwhere(linked).T])
-    total = n + len(linked)
-    adj = sp.csr_matrix((np.ones(pairs.shape[1], dtype=np.float32), tuple(pairs)),
-                        shape=(total, total))
-    adj.data[:] = 1.0
-    return adj
+    rows, cols = np.hstack([static, n + np.argwhere(linked).T])
+    return binary_adjacency(rows, cols, n + len(linked))
 
 
 def _coordinator_block(coords: CoordinatorSet) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Binary checkpoint format.
 
-Layout: header line ``GCOPEv1``, one JSON manifest line (hyperparameters,
+Layout: header line ``GCOPEv1``, one JSON manifest line (architecture keys,
 config fingerprint, tensor directory with byte offsets), then the raw
 little-endian float32 payload in manifest order. Byte-exact for fixed
 seeds: the manifest is serialized with sorted keys and no whitespace.

@@ -10,9 +10,10 @@ from . import config as cfgmod
 from . import errors
 from .amalgam import CoordinatorSet
 from .checkpoint import config_fingerprint, load_checkpoint, save_checkpoint
-from .evalkit import (ExperimentParams, run_ablation, run_gcope,
-                      run_isolated_pretrain, run_supervised, summary_rows,
-                      transfer_repeats, write_summary_csv, write_summary_markdown)
+from .evalkit import (METRICS, SUMMARY_COLS, ExperimentParams, run_ablation,
+                      run_gcope, run_isolated_pretrain, run_supervised,
+                      summary_rows, transfer_repeats, write_csv,
+                      write_summary_csv, write_summary_markdown)
 from .graphstore import describe, load_dataset, synth_dataset, write_dataset
 from .nn import ARCHITECTURE
 from .pretrain import AugmentationSpec, PretrainConfig, pretrain
@@ -68,24 +69,17 @@ def cmd_pretrain(args) -> int:
     r = _resolved(args)
     sources = [load_dataset(p) for p in args.sources.split(",")]
     coords = _coords(r)
-    hyper = {**_architecture(r), "lambda": r["lambda"], "tau": r["tau"],
-             "objective": r["objective"], "num_datasets": len(sources),
-             "coordinators_per_dataset": r["coordinators_per_dataset"]}
     params = _experiment_params(r, transfer=False)
     result = pretrain(sources, params.proj_cfg, coords, cfg=params.pretrain_cfg,
                       **params.encoder)
-    fingerprint = config_fingerprint(r)
     tensors = [(p.name, p.data) for p in result.encoder.params()]
-    tensors += [(p.name, p.data) for p in result.decoder.params()]
     if coords.features is not None:
         tensors.append((coords.features.name, coords.features.data))
-    save_checkpoint(args.out, hyper, fingerprint, tensors)
+    save_checkpoint(args.out, _architecture(r), config_fingerprint(r), tensors)
     loss_csv = args.loss_csv or args.out + ".loss.csv"
-    with open(loss_csv, "w", newline="\n") as f:
-        f.write("epoch,contrastive,reconstruction,total\n")
-        for rep in result.history:
-            f.write(f"{rep.epoch},{rep.contrastive!r},{rep.reconstruction!r},"
-                    f"{rep.total!r}\n")
+    write_csv(loss_csv, ["epoch", "contrastive", "reconstruction", "total"],
+              ((rep.epoch, rep.contrastive, rep.reconstruction, rep.total)
+               for rep in result.history))
     cfgmod.dump_resolved(r, args.out + ".config")
     print(f"wrote {args.out} ({len(result.history)} epochs; loss history {loss_csv})")
     return EXIT_OK
@@ -106,10 +100,7 @@ def cmd_transfer(args) -> int:
         for split in ("val", "test"):
             m = evaluate_model(model, task, split)
             rows.append((rep, split, m.acc, m.auc, m.f1))
-    with open(args.out, "w", newline="\n") as f:
-        f.write("repeat,split,acc,auc,f1\n")
-        for rep, split, acc, auc, f1 in rows:
-            f.write(f"{rep},{split},{acc!r},{auc!r},{f1!r}\n")
+    write_csv(args.out, ["repeat", "split", "acc", "auc", "f1"], rows)
     cfgmod.dump_resolved(r, args.out + ".config")
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -166,13 +157,9 @@ def cmd_ablate(args) -> int:
     except ValueError as e:
         raise errors.InvalidArgument(f"--grid: {e}") from None
     results = run_ablation(args.kind, grid, sources, target, params, _coords(r))
-    with open(args.out, "w", newline="\n") as f:
-        cols = "point,acc_mean,acc_std,auc_mean,auc_std,f1_mean,f1_std"
-        f.write(cols + "\n")
-        for point, s in results:
-            f.write(f"{point},{s.mean['acc']!r},{s.std['acc']!r},"
-                    f"{s.mean['auc']!r},{s.std['auc']!r},"
-                    f"{s.mean['f1']!r},{s.std['f1']!r}\n")
+    write_csv(args.out, ["point"] + SUMMARY_COLS[2:],
+              ([point] + [v for m in METRICS for v in (s.mean[m], s.std[m])]
+               for point, s in results))
     cfgmod.dump_resolved(r, args.out + ".config")
     print(f"wrote {args.out}")
     return EXIT_OK

@@ -193,11 +193,15 @@ def summary_rows(summaries: list[RunSummary], imp_vs: list[RunSummary] = None):
     return rows
 
 
-def write_summary_csv(path: str, rows: list[dict]) -> None:
+def write_csv(path: str, header: list[str], rows) -> None:
+    """A header line, then one line per row of its cells' `str`, LF endings."""
     with open(path, "w", newline="\n") as f:
-        f.write(",".join(SUMMARY_COLS) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt_cell(row.get(c, "")) for c in SUMMARY_COLS) + "\n")
+        f.writelines(",".join(map(str, row)) + "\n" for row in [header, *rows])
+
+
+def write_summary_csv(path: str, rows: list[dict]) -> None:
+    write_csv(path, SUMMARY_COLS,
+              ([_fmt_cell(row.get(c, "")) for c in SUMMARY_COLS] for row in rows))
 
 
 def write_summary_markdown(path: str, rows: list[dict], note: str = "") -> None:

@@ -78,15 +78,19 @@ class DatasetMeta:
     homophily: float
 
 
+def binary_adjacency(rows: np.ndarray, cols: np.ndarray, n: int) -> sp.csr_matrix:
+    """Canonical float32 n x n CSR with a 1 at every (rows[k], cols[k]); a
+    pair given more than once is stored once."""
+    a = sp.csr_matrix((np.ones(len(rows), dtype=np.float32), (rows, cols)), shape=(n, n))
+    a.data[:] = 1.0
+    return a
+
+
 def edges_to_adjacency(edges: np.ndarray, n: int) -> sp.csr_matrix:
     """Symmetric binary CSR adjacency from an undirected edge list."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    rows = np.concatenate([edges[:, 0], edges[:, 1]])
-    cols = np.concatenate([edges[:, 1], edges[:, 0]])
-    a = sp.coo_matrix((np.ones(rows.size, dtype=np.float32), (rows, cols)),
-                      shape=(n, n)).tocsr()
-    a.data[:] = 1.0  # collapse any duplicates to binary
-    return a
+    return binary_adjacency(np.concatenate([edges[:, 0], edges[:, 1]]),
+                            np.concatenate([edges[:, 1], edges[:, 0]]), n)
 
 
 def compute_homophily(g: GraphDataset) -> float:

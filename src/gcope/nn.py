@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from copy import deepcopy
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -12,9 +10,9 @@ from .autodiff import Param, Tensor, gather_rows, scatter_add_rows, spmm
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int,
-           shape=None, dtype=np.float32) -> np.ndarray:
+           dtype=np.float32) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape or (fan_in, fan_out)).astype(dtype)
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
 
 
 def gcn_normalize(adj: sp.csr_matrix) -> sp.csr_matrix:
@@ -77,9 +75,6 @@ class GcnEncoder:
             raise errors.NonFiniteActivation("encoder produced non-finite activations")
         return h
 
-    def copy(self) -> "GcnEncoder":
-        return deepcopy(self)
-
 
 class FagcnEncoder:
     """Frequency-adaptive layers with gated signed edge weights.
@@ -103,7 +98,7 @@ class FagcnEncoder:
         rng = np.random.default_rng([seed, 0xFA6])
         self.w_in = Param(glorot(rng, in_dim, hidden, dtype=dtype), name="fagcn.w_in")
         self.b_in = Param(np.zeros(hidden, dtype=dtype), name="fagcn.b_in")
-        self.gates = [Param(glorot(rng, 2 * hidden, 1, shape=(2 * hidden, 1), dtype=dtype),
+        self.gates = [Param(glorot(rng, 2 * hidden, 1, dtype=dtype),
                             name=f"fagcn.g{i}") for i in range(num_layers)]
 
     @property
@@ -139,9 +134,6 @@ class FagcnEncoder:
         if not np.isfinite(h.data).all():
             raise errors.NonFiniteActivation("encoder produced non-finite activations")
         return h
-
-    def copy(self) -> "FagcnEncoder":
-        return deepcopy(self)
 
 
 # the checkpoint's architecture record: make_encoder's first six parameters
@@ -181,17 +173,15 @@ class MlpDecoder:
     def forward(self, h: Tensor) -> Tensor:
         return (h @ self.w1 + self.b1).relu() @ self.w2 + self.b2
 
-    def copy(self) -> "MlpDecoder":
-        return deepcopy(self)
-
 
 class Adam:
     """Bias-corrected Adam; zeroes grads after each step."""
 
-    def __init__(self, params: list[Param], lr: float = 1e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[Param], lr: float = 1e-4):
         self.params = list(params)
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]

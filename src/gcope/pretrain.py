@@ -9,6 +9,7 @@ reconstruction term computed on the clean view's node embeddings.
 from __future__ import annotations
 
 import os
+from copy import deepcopy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,9 +18,9 @@ import scipy.sparse as sp
 from . import errors
 from .amalgam import CoordinatorSet, JointGraph, build_joint_graph, \
     refresh_dynamic_edges, sample_joint_batch
-from .autodiff import Tensor, concat_rows, gather_rows, logsumexp_rows, mse, \
-    normalize_rows
-from .graphstore import GraphDataset
+from .autodiff import Tensor, concat_rows, gather_rows, mse, normalize_rows, \
+    softmax_cross_entropy
+from .graphstore import GraphDataset, binary_adjacency
 from .nn import Adam, MlpDecoder, graph_readout, make_encoder
 from .projection import ProjectionConfig, project_all
 
@@ -64,6 +65,9 @@ class PretrainConfig:
         for key, low in (("epochs", 0), ("batch_size", 2), ("hops", 1)):
             if getattr(self, key) < low:
                 raise errors.InvalidArgument(f"{key} must be >= {low}")
+        if len(self.augmentations) != 2:
+            raise errors.InvalidArgument(
+                f"need exactly 2 augmentations, got {len(self.augmentations)}")
 
 
 @dataclass
@@ -165,10 +169,8 @@ def _perturb_edges(adj: sp.csr_matrix, ratio: float,
         added.append(e)
     und = np.vstack([und, np.reshape(added, (-1, 2))])
     loops = coo.row[coo.row == coo.col]
-    rows = np.concatenate([und[:, 0], und[:, 1], loops])
-    cols = np.concatenate([und[:, 1], und[:, 0], loops])
-    return sp.coo_matrix((np.ones(rows.size, dtype=np.float32), (rows, cols)),
-                         shape=(n, n)).tocsr()
+    return binary_adjacency(np.concatenate([und[:, 0], und[:, 1], loops]),
+                            np.concatenate([und[:, 1], und[:, 0], loops]), n)
 
 
 def encode_view(encoder, features: Tensor, view: SampleView, operator) -> Tensor:
@@ -180,18 +182,14 @@ def encode_view(encoder, features: Tensor, view: SampleView, operator) -> Tensor
 
 
 def nt_xent(anchors: Tensor, positives: Tensor, temperature: float) -> Tensor:
-    """Mean over anchors of -log softmax of the matching positive among
-    all positives in the batch, cosine-similarity scaled by temperature."""
+    """NT-Xent: the softmax cross-entropy of the temperature-scaled cosine
+    similarities, where anchor i's label is positive i."""
     if anchors.shape[0] < 2:
         raise errors.InvalidArgument("nt_xent needs a batch of at least 2")
     if anchors.shape != positives.shape:
         raise errors.ShapeMismatch("anchor/positive shape mismatch")
-    za = normalize_rows(anchors)
-    zp = normalize_rows(positives)
-    sims = (za @ zp.T) * (1.0 / temperature)           # B x B
-    diag = (sims * Tensor(np.eye(sims.shape[0], dtype=sims.data.dtype))) \
-        .sum(axis=1, keepdims=True)
-    return (logsumexp_rows(sims) - diag).mean()
+    sims = (normalize_rows(anchors) @ normalize_rows(positives).T) * (1.0 / temperature)
+    return softmax_cross_entropy(sims, np.arange(anchors.shape[0]))
 
 
 def reconstruction_loss(decoder: MlpDecoder, embeddings: Tensor,
@@ -204,7 +202,7 @@ def simgrace_views(encoder, features: Tensor, view: SampleView, eta: float,
     """Clean embeddings plus embeddings from a weight-perturbed encoder copy."""
     operator = encoder.prepare(view.adjacency)   # the perturbed copy shares it
     clean = encode_view(encoder, features, view, operator)
-    perturbed = encoder.copy()
+    perturbed = deepcopy(encoder)
     for p in perturbed.params():
         std = float(p.data.std())
         if std > 0 and eta != 0.0:
@@ -217,9 +215,6 @@ def simgrace_views(encoder, features: Tensor, view: SampleView, eta: float,
 @dataclass
 class PretrainResult:
     encoder: object
-    decoder: MlpDecoder
-    coords: CoordinatorSet | None
-    joint_graph: JointGraph
     history: list = field(default_factory=list)
 
 
@@ -245,8 +240,7 @@ def pretrain(graphs: list[GraphDataset], proj_cfg: ProjectionConfig,
         if coords is not None and coords.inter_mode == "dynamic":
             jg = refresh_dynamic_edges(jg, coords)
         history.append(pretrain_epoch(jg, encoder, decoder, cfg, epoch, opt))
-    return PretrainResult(encoder=encoder, decoder=decoder, coords=coords,
-                          joint_graph=jg, history=history)
+    return PretrainResult(encoder=encoder, history=history)
 
 
 def _tape_bytes(jg: JointGraph, encoder, cfg: PretrainConfig, samples: list) -> int:
@@ -279,7 +273,7 @@ def pretrain_epoch(jg: JointGraph, encoder, decoder, cfg: PretrainConfig,
         if cfg.objective == "graphcl":
             v1, v2 = (augment(jg, sample, spec,
                               np.random.default_rng([cfg.seed, epoch, k, i]))
-                      for i, spec in enumerate(cfg.augmentations[:2], 1))
+                      for i, spec in enumerate(cfg.augmentations, 1))
             shared = encoder.prepare(sample.adjacency)   # attr_mask keeps the adjacency
             h1, h2, h_clean = (
                 encode_view(encoder, features, v, shared if v.adjacency is sample.adjacency

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,7 +174,7 @@ def _transfer(encoder, task: FewShotTask, cfg: TransferConfig, proj_cfg: Project
     """Train a fresh zero-initialized linear head on a copy of `encoder`, plus
     the prompt `tokens` if given (the encoder then stays frozen) or else the
     whole encoder, and keep the values of the best validation-accuracy epoch."""
-    enc = encoder.copy()
+    enc = deepcopy(encoder)
     head_w = Param(np.zeros((enc.out_dim, task.c_way), dtype=np.float32), name="head.w")
     head_b = Param(np.zeros(task.c_way, dtype=np.float32), name="head.b")
     model = TrainedModel(enc, head_w, head_b, tokens, _prepare_subgraphs(task, proj_cfg, enc))

@@ -4,11 +4,14 @@ Everything here is deliberately brute-force and written without reusing
 library internals: cyclic Jacobi eigensolver, dense joint-adjacency
 materialization, loop-based losses, scalar Adam, np.add.at row sums,
 the per-graph subset mean, diagonal-matrix GCN normalisation, Floyd-Warshall distances, central finite
-differences.
+differences. The diagonal-mask NT-Xent is the exception: it is built from
+the library's tape ops, so that its gradients can be compared byte for byte.
 """
 
 import numpy as np
 import scipy.sparse as sp
+
+from gcope.autodiff import Tensor, logsumexp_rows, normalize_rows
 
 
 def jacobi_eigh(a: np.ndarray, sweeps: int = 100, tol: float = 1e-13):
@@ -97,6 +100,16 @@ def brute_nt_xent(anchors: np.ndarray, positives: np.ndarray, tau: float) -> flo
         sims = np.array([za[i] @ zp[j] / tau for j in range(b)])
         total += -np.log(np.exp(sims[i]) / np.sum(np.exp(sims)))
     return total / b
+
+
+def eye_mask_nt_xent(anchors: Tensor, positives: Tensor, tau: float) -> Tensor:
+    """NT-Xent as pretraining computed it before it went through
+    `softmax_cross_entropy`: each row's log-sum-exp minus its diagonal
+    similarity, picked out by an identity mask."""
+    sims = (normalize_rows(anchors) @ normalize_rows(positives).T) * (1.0 / tau)
+    diag = (sims * Tensor(np.eye(sims.shape[0], dtype=sims.data.dtype))) \
+        .sum(axis=1, keepdims=True)
+    return (logsumexp_rows(sims) - diag).mean()
 
 
 def add_at_row_sum(rows: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:

@@ -12,6 +12,7 @@ against the published citation-graph statistics.
 import itertools
 import os
 import time
+from copy import deepcopy
 
 import numpy as np
 import pytest
@@ -117,7 +118,7 @@ def _grad_setup(seed, enc_kind, objective, d_p=4, hidden=5, tau=0.5, lam=0.2):
              for n in samples]
 
     if objective == "simgrace":
-        perturbed = enc.copy()
+        perturbed = deepcopy(enc)
         for p in perturbed.params():
             std = float(p.data.std())
             if std > 0:
@@ -289,7 +290,7 @@ def test_criterion_07_end_to_end_transfer_smoke():
         task = build_fewshot_task(target, k_shot=1, hops=1, seed=rep)
         cfg = TransferConfig(epochs=40, learning_rate=5e-3, patience=10,
                              seed=rep)
-        model = finetune(result.encoder.copy(), task, cfg, proj_cfg)
+        model = finetune(deepcopy(result.encoder), task, cfg, proj_cfg)
         accs["gcope"].append(evaluate_model(model, task, "test").acc)
         fresh = make_encoder("gcn", 16, hidden=16, activation="tanh", seed=rep)
         model = finetune(fresh, task, cfg, proj_cfg)

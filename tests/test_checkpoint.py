@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ def test_round_trip_is_bit_exact(tmp_path):
         assert got.tobytes() == arr.tobytes()
     again = str(tmp_path / "b.ckpt")
     save_checkpoint(again, ckpt.hyper, ckpt.fingerprint, list(ckpt.tensors.items()))
-    assert open(again, "rb").read() == open(path, "rb").read()
+    assert Path(again).read_bytes() == Path(path).read_bytes()
 
 
 def test_bad_magic(tmp_path):
@@ -52,8 +53,7 @@ def test_bad_magic(tmp_path):
 def test_truncated_payload(tmp_path):
     path = str(tmp_path / "x.ckpt")
     save_checkpoint(path, HYPER, "f", [("w", np.ones((2, 3), dtype=np.float32))])
-    data = open(path, "rb").read()
-    open(path, "wb").write(data[:-4])
+    Path(path).write_bytes(Path(path).read_bytes()[:-4])
     with pytest.raises(errors.IoError, match="truncated"):
         load_checkpoint(path)
 

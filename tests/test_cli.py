@@ -1,12 +1,14 @@
 import filecmp
 import inspect
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gcope import cli, config, evalkit
 from gcope.amalgam import CoordinatorSet
+from gcope.checkpoint import load_checkpoint
 from gcope.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from gcope.evalkit import ExperimentParams
 from gcope.graphstore import GraphDataset, write_dataset
@@ -198,7 +200,7 @@ def test_flags_override_config_file_in_resolved_dump(tmp_path):
     code = run("pretrain", "--sources", a, "--out", str(ckpt),
                "--config", str(cfg), "--epochs", "3")
     assert code == EXIT_OK
-    text = open(str(ckpt) + ".config").read()
+    text = Path(str(ckpt) + ".config").read_text()
     assert "epochs=3" in text.split()
     assert "hidden=8" in text.split()
 
@@ -206,11 +208,19 @@ def test_flags_override_config_file_in_resolved_dump(tmp_path):
 def test_pretrain_writes_checkpoint_loss_csv_and_config(tmp_path):
     ckpt = pretrain(tmp_path)
     assert ckpt.exists()
-    assert open(ckpt, "rb").read(8) == b"GCOPEv1\n"
-    loss = open(str(ckpt) + ".loss.csv").read().strip().split("\n")
+    assert ckpt.read_bytes()[:8] == b"GCOPEv1\n"
+    loss = Path(str(ckpt) + ".loss.csv").read_text().strip().split("\n")
     assert loss[0] == "epoch,contrastive,reconstruction,total"
     assert len(loss) == 3
     assert os.path.exists(str(ckpt) + ".config")
+
+
+def test_pretrain_checkpoint_holds_architecture_encoder_and_coordinators(tmp_path):
+    """The architecture keys, the encoder's tensors and the coordinators: no
+    decoder tensor and no run setting, which the `.config` dump records."""
+    ckpt = load_checkpoint(str(pretrain(tmp_path)))
+    assert sorted(ckpt.hyper) == sorted(ARCHITECTURE)
+    assert list(ckpt.tensors) == [p.name for p in ckpt.encoder().params()] + ["coordinators"]
 
 
 def test_inspect_prints_manifest_and_dataset(tmp_path, capsys):
@@ -342,7 +352,7 @@ def test_full_pipeline_reruns_byte_identical(tmp_path):
         csv = tmp_path / f"{tag}.csv"
         assert run("transfer", "--ckpt", str(ckpt), "--target", tgt,
                    "--out", str(csv), *TRANSFER_FLAGS) == EXIT_OK
-        outs.append((open(ckpt, "rb").read(), open(csv).read()))
+        outs.append((ckpt.read_bytes(), csv.read_text()))
     assert outs[0][0] == outs[1][0]
     assert outs[0][1] == outs[1][1]
     header = outs[0][1].split("\n")[0]

@@ -8,7 +8,7 @@ from gcope.evalkit import (ExperimentParams, RunSummary, improvement_pct,
                            run_supervised, runtime_scaling_probe, summary_rows,
                            write_summary_csv, write_summary_markdown)
 from gcope.graphstore import synth_dataset
-from gcope.pretrain import AugmentationSpec, PretrainConfig, pretrain
+from gcope.pretrain import AugmentationSpec, PretrainConfig
 from gcope.projection import ProjectionConfig, project_all
 from gcope.transfer import MetricReport, TransferConfig
 
@@ -107,9 +107,8 @@ def test_three_schemes_run_and_bookkeep():
 
 def test_isolated_pretraining_has_no_coordinators():
     sources, _ = tiny_data()
-    res = pretrain(sources, ProjectionConfig(d_p=5), None, "gcn",
-                   tiny_params().pretrain_cfg, hidden=8)
-    jg = res.joint_graph
+    jg = build_joint_graph(project_all(sources, ProjectionConfig(d_p=5)),
+                           [g.adjacency for g in sources], None)
     assert jg.num_coordinators == 0
     # block-diagonal: nothing connects the two source blocks
     n0 = sources[0].num_nodes

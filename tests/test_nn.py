@@ -1,4 +1,5 @@
 import inspect
+from copy import deepcopy
 
 import numpy as np
 import pytest
@@ -235,7 +236,7 @@ def check_copy_independent(model, forward, out_shape):
     x = Tensor(np.random.default_rng(0).normal(size=(5, 4)).astype(np.float32))
     out = forward(model, x)
     assert out.data.shape == out_shape
-    clone = model.copy()
+    clone = deepcopy(model)
     assert [p.name for p in clone.params()] == [p.name for p in model.params()]
     for c, p in zip(clone.params(), model.params()):
         assert c is not p

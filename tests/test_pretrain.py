@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+from copy import deepcopy
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import scipy.sparse as sp
 
 from gcope import errors
 from gcope.amalgam import CoordinatorSet, build_joint_graph, sample_joint_batch
-from gcope.autodiff import Tensor
+from gcope.autodiff import Param, Tensor
 from gcope.graphstore import synth_dataset
 from gcope.nn import Adam, MlpDecoder, make_encoder
 from gcope.pretrain import (AugmentationSpec, PretrainConfig, augment,
@@ -15,7 +16,7 @@ from gcope.pretrain import (AugmentationSpec, PretrainConfig, augment,
                             reconstruction_loss, simgrace_views)
 from gcope.projection import ProjectionConfig, project_all
 
-from oracles import brute_mse, brute_nt_xent
+from oracles import brute_mse, brute_nt_xent, eye_mask_nt_xent
 from tapewalk import tape_buffers
 
 
@@ -212,6 +213,24 @@ def test_nt_xent_matches_bruteforce(seed):
     assert float(loss.data) == pytest.approx(brute_nt_xent(a, p, tau), abs=1e-8)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b", [2, 8, 32])
+def test_nt_xent_bytes_equal_the_eye_mask_form(dtype, b):
+    """The loss and both gradients equal the diagonal-mask form's bytes."""
+    rng = np.random.default_rng([b, np.dtype(dtype).itemsize])
+    for _ in range(5):
+        a, p = (rng.standard_normal((b, 6)).astype(dtype) for _ in range(2))
+        tau = float(rng.uniform(0.1, 2.0))
+        runs = []
+        for loss_fn in (nt_xent, eye_mask_nt_xent):
+            anchors, positives = Param(a.copy()), Param(p.copy())
+            loss = loss_fn(anchors, positives, tau)
+            loss.backward()
+            runs.append([loss.data, anchors.grad, positives.grad])
+        for got, want in zip(*runs):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_nt_xent_input_contracts():
     with pytest.raises(errors.InvalidArgument):
         nt_xent(Tensor(np.ones((1, 3))), Tensor(np.ones((1, 3))), 0.5)
@@ -273,7 +292,7 @@ def test_simgrace_passes_share_one_operator_bytewise():
     s, feats = first_sample(jg), jg.feature_tensor()
     enc = make_encoder("fagcn", jg.base_features.shape[1], hidden=8, seed=0)
     clean, noisy = simgrace_views(enc, feats, s, 0.5, np.random.default_rng(4))
-    rng, perturbed = np.random.default_rng(4), enc.copy()
+    rng, perturbed = np.random.default_rng(4), deepcopy(enc)
     for p in perturbed.params():    # simgrace_views' perturbation, replayed
         if p.data.std() > 0:
             noise = rng.standard_normal(p.data.shape).astype(p.data.dtype)
@@ -337,10 +356,10 @@ def test_zero_epochs_leaves_parameters_at_init():
 def test_coordinator_features_receive_gradient_updates():
     graphs = [synth_dataset(12, 2, 6, 0.7, i) for i in range(2)]
     coords = CoordinatorSet()
-    res = pretrain(graphs, ProjectionConfig(d_p=5), coords, "gcn",
-                   make_cfg(epochs=1, seed=3), hidden=8)
+    pretrain(graphs, ProjectionConfig(d_p=5), coords, "gcn",
+             make_cfg(epochs=1, seed=3), hidden=8)
     init = CoordinatorSet().init_features(2, 5, seed=3)
-    assert not np.array_equal(res.coords.features.data, init.data)
+    assert not np.array_equal(coords.features.data, init.data)
 
 
 @pytest.mark.parametrize("objective,enc", [("graphcl", "gcn"),
@@ -385,6 +404,14 @@ def test_config_validation():
     for key, bad in (("epochs", -1), ("batch_size", 1), ("hops", 0)):
         with pytest.raises(errors.InvalidArgument, match=key):
             PretrainConfig(**{key: bad})
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_config_needs_exactly_two_augmentations(count):
+    """Pretraining draws two views, so one augmentation would fail mid-epoch
+    and a third would be ignored."""
+    with pytest.raises(errors.InvalidArgument, match="2 augmentations"):
+        PretrainConfig(augmentations=(AugmentationSpec("node_drop", 0.2),) * count)
 
 
 @pytest.mark.parametrize("objective,enc", [("graphcl", "gcn"), ("simgrace", "fagcn")])
