@@ -4,14 +4,14 @@ Tensors form a DAG. `backward()` on a scalar walks it in reverse
 topological order and frees it on the way, so a graph can be
 backpropagated once and afterwards only leaves (such as `Param`s) hold a
 `.grad`. Tensors made under `no_grad()` record no graph. Sparse matrices
-enter only as constants: adjacencies through `spmm`, and the row sums
-behind `gather_rows`' backward and `scatter_add_rows`' forward as products
-with the transpose of a 0/1 selector (row k holds a 1 in column idx[k]).
-That transpose is a CSC matrix, which SciPy multiplies one column at a
-time, k = 0, 1, ..., adding rows[k] onto row idx[k]: `np.add.at`'s order,
-with exact multiplications by 1, so the sums are bit-identical to its
-sequential ones. The op set is exactly what the encoders, decoder, and
-losses need; nothing more.
+enter as constants (adjacencies through `spmm`; the row sums behind
+`gather_rows`' backward and `scatter_add_rows`' forward, as products with
+the transpose of a 0/1 selector whose row k holds a 1 in column idx[k]), or
+in `edge_spmm` as a constant structure whose data is a tensor. SciPy adds a
+CSR or CSC product's terms in stored order, k = 0, 1, ...: `np.add.at`'s
+order. So selector row sums (exact products by 1) equal its sequential ones
+bit for bit. The op set is exactly what the encoders, decoder, and losses
+need; nothing more.
 """
 
 from __future__ import annotations
@@ -275,7 +275,7 @@ def _selector(idx: np.ndarray, n: int, dtype) -> sp.csr_matrix:
 
 def gather_rows(t: Tensor, idx: np.ndarray) -> Tensor:
     t = as_tensor(t)
-    idx = np.asarray(idx, dtype=np.int64)
+    idx = np.asarray(idx)
 
     def bwd(g):
         t._accum(_selector(idx, t.data.shape[0], g.dtype).T @ g)
@@ -285,7 +285,7 @@ def gather_rows(t: Tensor, idx: np.ndarray) -> Tensor:
 def scatter_add_rows(t: Tensor, idx: np.ndarray, n_rows: int) -> Tensor:
     """out[r] = sum of rows k with idx[k] == r."""
     t = as_tensor(t)
-    idx = np.asarray(idx, dtype=np.int64)
+    idx = np.asarray(idx)
 
     def bwd(g):
         t._accum(g[idx])
@@ -300,6 +300,23 @@ def spmm(a: sp.csr_matrix, t: Tensor) -> Tensor:
     def bwd(g):
         t._accum(a.T @ g)
     return Tensor(a @ t.data, parents=(t,), backward=bwd)
+
+
+def edge_spmm(indptr: np.ndarray, cols: np.ndarray, w: Tensor, h: Tensor) -> Tensor:
+    """A_w @ h for the CSR matrix A_w with structure (indptr, cols) and data w,
+    an E x 1 tensor. Bit-identical, gradients too, to scatter_add_rows(
+    gather_rows(h, cols) * w, rows, n), but keeps no E x hidden array: h's
+    gradient is A_w.T @ g, and w's the row sums of g[rows] * h[cols]."""
+    w, h = as_tensor(w), as_tensor(h)
+    a = sp.csr_matrix((w.data.ravel(), cols, indptr), shape=(indptr.size - 1, h.shape[0]))
+
+    def bwd(g):
+        if h.requires_grad:
+            h._accum(a.T @ g)
+        if w.requires_grad:
+            rows = np.repeat(np.arange(a.shape[0]), np.diff(indptr))
+            w._accum((g[rows] * h.data[cols]).sum(axis=1, keepdims=True))
+    return Tensor(a @ h.data, parents=(w, h), backward=bwd)
 
 
 # ---- composites ----

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -10,7 +9,7 @@ import numpy as np
 from . import errors
 from .amalgam import CoordinatorSet
 from .config import parse_inter_mode
-from .graphstore import GraphDataset, synth_dataset
+from .graphstore import GraphDataset
 from .nn import make_encoder
 from .pretrain import PretrainConfig, pretrain
 from .projection import ProjectionConfig
@@ -148,27 +147,6 @@ def run_ablation(kind: str, grid: list, sources: list[GraphDataset],
         points.append((point, p, c))
     return [(point, _pretrained_summary(sources, target, p, c, "gcope"))
             for point, p, c in points]
-
-
-def runtime_scaling_probe(sizes: list[int], m: int = 2, c: int = 1,
-                          enc_kind: str = "gcn", batch_size: int = 8,
-                          d: int = 16, seed: int = 0) -> list[tuple[int, float]]:
-    """CPU seconds (`time.process_time`) per pretraining epoch on synthetic data
-    at each N; unlike wall time, they leave out time spent preempted."""
-    out = []
-    for n_total in sizes:
-        per = n_total // m
-        sources = [synth_dataset(per, 3, d, 0.7, seed + i) for i in range(m)]
-        proj_cfg = ProjectionConfig(d_p=min(d, 16))
-        # 1-hop samples keep subgraph size independent of block size; a
-        # 2-hop ball through a coordinator covers its whole dataset block
-        # and would measure block size rather than total-node scaling.
-        cfg = PretrainConfig(epochs=1, batch_size=batch_size, hops=1, seed=seed)
-        coords = CoordinatorSet(per_dataset=c)
-        t0 = time.process_time()
-        pretrain(sources, proj_cfg, coords, enc_kind, cfg, hidden=32)
-        out.append((n_total, time.process_time() - t0))
-    return out
 
 
 # ---- report emission ----

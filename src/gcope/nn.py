@@ -6,7 +6,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import errors
-from .autodiff import Param, Tensor, gather_rows, scatter_add_rows, spmm
+from .autodiff import Param, Tensor, edge_spmm, gather_rows, scatter_add_rows, spmm
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -83,7 +83,8 @@ class FagcnEncoder:
     h_i' = eps * h0_i + sum_{j in N(i)} alpha_ij / sqrt(d_i d_j) * h_j
     with alpha_ij = tanh(g_top . h_i + g_bot . h_j) = tanh(g . [h_i || h_j]),
     where g_top and g_bot are the halves of the 2*hidden x 1 gate g. So the
-    gate needs two node-level products, gathered to the edges. The residual
+    gate needs two node-level products, gathered to the edges, and the sum is
+    one `edge_spmm`, so a layer keeps no edges x hidden array. The residual
     eps * h0 is formed once, in the parameters' dtype, so a float32 encoder
     returns float32.
     """
@@ -109,17 +110,19 @@ class FagcnEncoder:
         return [self.w_in, self.b_in] + list(self.gates)
 
     def prepare(self, adj: sp.csr_matrix) -> tuple:
-        """A graph's constant operator for `forward`, built once per graph: node
-        count, edge rows and cols, and 1/sqrt(d_i d_j) per edge as a tensor."""
-        coo = adj.tocoo()
-        rows, cols = coo.row.astype(np.int64), coo.col.astype(np.int64)
+        """A graph's constant operator for `forward`, built once per graph: `adj`'s
+        indptr, each edge's row and col in CSR order (all of the CSR's index dtype,
+        so no layer copies them), and 1/sqrt(d_i d_j) per edge as an E x 1 tensor."""
+        indptr, cols = adj.indptr, adj.indices
+        rows = np.repeat(np.arange(adj.shape[0], dtype=cols.dtype), np.diff(indptr))
         deg = np.asarray(adj.sum(axis=1)).ravel()
         coef = (1.0 / np.sqrt(deg[rows] * deg[cols])).reshape(-1, 1)
-        return adj.shape[0], rows, cols, Tensor(coef.astype(self.w_in.data.dtype))
+        return indptr, rows, cols, Tensor(coef.astype(self.w_in.data.dtype))
 
     def forward(self, x: Tensor, operator: tuple) -> Tensor:
         """Embeddings of node features `x` on the graph `prepare` gave `operator` for."""
-        n, rows, cols, coef = operator
+        indptr, rows, cols, coef = operator
+        n = indptr.size - 1
         if x.shape != (n, self.in_dim):
             raise errors.ShapeMismatch(
                 f"encoder expects {n} x {self.in_dim} features, got {x.shape}")
@@ -130,7 +133,7 @@ class FagcnEncoder:
         for g in self.gates:
             alpha = (gather_rows(h @ gather_rows(g, top), rows)
                      + gather_rows(h @ gather_rows(g, bottom), cols)).tanh()  # E x 1
-            h = residual + scatter_add_rows(gather_rows(h, cols) * (alpha * coef), rows, n)
+            h = residual + edge_spmm(indptr, cols, alpha * coef, h)
         if not np.isfinite(h.data).all():
             raise errors.NonFiniteActivation("encoder produced non-finite activations")
         return h

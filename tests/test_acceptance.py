@@ -360,7 +360,7 @@ def _best_probe_times(configs, tries=3):
     """Fastest of `tries` timings of each (n, m), taken in rounds that time
     every configuration once, so a change of machine speed between rounds
     reaches all of them alike."""
-    from gcope.evalkit import runtime_scaling_probe
+    from scaling_probe import runtime_scaling_probe
     best = dict.fromkeys(configs, np.inf)
     for _ in range(tries):
         for n, m in configs:

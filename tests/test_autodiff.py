@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from gcope import errors
-from gcope.autodiff import (Param, Tensor, concat_rows, gather_rows,
+from gcope.autodiff import (Param, Tensor, concat_rows, edge_spmm, gather_rows,
                             logsumexp_rows, mse, no_grad, normalize_rows,
                             scatter_add_rows, softmax_cross_entropy, softmax_rows, spmm)
 from gcope.nn import make_encoder
@@ -138,6 +138,68 @@ def test_row_sum_index_out_of_range_raises():
     for bad in (-1, 3):
         with pytest.raises(IndexError):
             gather_rows(Param(np.ones((3, 2))), np.array([0, bad, 1])).sum().backward()
+
+
+def edge_structure(n_rows, n_cols, n_edges, seed):
+    """A CSR structure of `n_edges` edges in row order with unsorted, repeated
+    columns and some empty rows: indptr, each edge's row, cols (int32, SciPy's
+    index dtype at this size)."""
+    rng = np.random.default_rng(seed)
+    rows = np.sort(rng.choice(np.arange(0, n_rows, 2), size=n_edges)).astype(np.int32)
+    cols = rng.integers(0, n_cols, size=n_edges).astype(np.int32)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_rows))])
+    return indptr.astype(np.int32), rows, cols
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_edge_spmm_matches_dense_product(seed):
+    indptr, rows, cols = edge_structure(6, 5, 20, seed)
+    rng = np.random.default_rng(seed)
+    w, h = rng.standard_normal((20, 1)), rng.standard_normal((5, 3))
+    dense = np.zeros((6, 5))
+    np.add.at(dense, (rows, cols), w.ravel())
+    assert np.allclose(edge_spmm(indptr, cols, Tensor(w), Tensor(h)).data, dense @ h)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_edge_spmm_grads(seed):
+    indptr, _, cols = edge_structure(6, 5, 20, seed)
+    rng = np.random.default_rng(seed)
+    w, h = rnd(rng, 20, 1), rnd(rng, 5, 3)
+    check_grad(lambda: edge_spmm(indptr, cols, w, h).tanh().square().sum(), w, h)
+
+
+# the upstream gradient's dtype: the same as the operands', or float64 against
+# float32 weights and features (a float64 loss over a float32 encoder)
+@pytest.mark.parametrize("dtype,upstream", [(np.float32, np.float32),
+                                            (np.float64, np.float64),
+                                            (np.float32, np.float64)])
+@pytest.mark.parametrize("width", [1, 3, 64])
+def test_edge_spmm_is_bitwise_the_gather_multiply_scatter_chain(dtype, upstream, width):
+    indptr, rows, cols = edge_structure(8, 8, 300, 1)
+    rng = np.random.default_rng(0)
+    # magnitudes spread over 1e-4..1e4 so any change of summation order shows
+    spread = lambda *shape: rng.standard_normal(shape) * 10.0 ** rng.uniform(-4, 4, shape)
+    w0, h0, u = spread(300, 1).astype(dtype), spread(8, width).astype(dtype), spread(8, width)
+    results = []
+    for op in (lambda w, h: edge_spmm(indptr, cols, w, h),
+               lambda w, h: scatter_add_rows(gather_rows(h, cols) * w, rows, 8)):
+        w, h = Param(w0.copy()), Param(h0.copy())
+        out = op(w, h)
+        (out * Tensor(u.astype(upstream))).sum().backward()
+        results.append((out.data, w.grad, h.grad))
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_edge_spmm_under_no_grad_records_no_parents():
+    indptr, _, cols = edge_structure(6, 5, 20, 0)
+    rng = np.random.default_rng(0)
+    w, h = rnd(rng, 20, 1), rnd(rng, 5, 3)
+    with no_grad():
+        out = edge_spmm(indptr, cols, w, h)
+    assert not out.requires_grad and out._parents == () and out._backward is None
+    assert out.data.tobytes() == edge_spmm(indptr, cols, w, h).data.tobytes()
 
 
 def test_shared_first_gradient_survives_accumulation():

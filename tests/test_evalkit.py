@@ -5,12 +5,14 @@ from gcope import errors, evalkit
 from gcope.amalgam import CoordinatorSet, build_joint_graph
 from gcope.evalkit import (ExperimentParams, RunSummary, improvement_pct,
                            run_ablation, run_gcope, run_isolated_pretrain,
-                           run_supervised, runtime_scaling_probe, summary_rows,
-                           write_summary_csv, write_summary_markdown)
+                           run_supervised, summary_rows, write_summary_csv,
+                           write_summary_markdown)
 from gcope.graphstore import synth_dataset
 from gcope.pretrain import AugmentationSpec, PretrainConfig
 from gcope.projection import ProjectionConfig, project_all
 from gcope.transfer import MetricReport, TransferConfig
+
+from scaling_probe import runtime_scaling_probe
 
 
 def fake_summary(scheme, accs, aucs=None, f1s=None):
