@@ -10,8 +10,8 @@ the transpose of a 0/1 selector whose row k holds a 1 in column idx[k]), or
 in `edge_spmm` as a constant structure whose data is a tensor. SciPy adds a
 CSR or CSC product's terms in stored order, k = 0, 1, ...: `np.add.at`'s
 order. So selector row sums (exact products by 1) equal its sequential ones
-bit for bit. The op set is exactly what the encoders, decoder, and losses
-need; nothing more.
+bit for bit. An affine layer is one `dense` op, which keeps no pre-activation.
+The op set is exactly what the layers and losses need; nothing more.
 """
 
 from __future__ import annotations
@@ -166,11 +166,6 @@ class Tensor:
 
     # ---- unary ----
 
-    def relu(self):
-        def bwd(g):
-            self._accum(g * (self.data > 0))
-        return Tensor(np.maximum(self.data, 0), parents=(self,), backward=bwd)
-
     def tanh(self):
         t = np.tanh(self.data)
 
@@ -317,6 +312,33 @@ def edge_spmm(indptr: np.ndarray, cols: np.ndarray, w: Tensor, h: Tensor) -> Ten
             rows = np.repeat(np.arange(a.shape[0]), np.diff(indptr))
             w._accum((g[rows] * h.data[cols]).sum(axis=1, keepdims=True))
     return Tensor(a @ h.data, parents=(w, h), backward=bwd)
+
+
+def dense(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None) -> Tensor:
+    """activation(x @ w + b), activation "relu", "tanh" or None, keeping only x and
+    the output, off which the backward reads the derivative. Bit-identical, gradients
+    too, to the matmul, add and activation chain: it casts where their `_accum`s do."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    out = (x.data @ w.data).astype(np.result_type(x.data, w.data, b.data), copy=False)
+    out += b.data   # in place: under no_grad the caller's x is still alive here
+    if activation == "relu":
+        np.maximum(out, 0, out=out)
+    elif activation == "tanh":
+        np.tanh(out, out=out)
+
+    def bwd(g):
+        if activation == "relu":
+            g = (g * (out > 0)).astype(out.dtype, copy=False)
+        elif activation == "tanh":
+            g = (g * (1.0 - out * out)).astype(out.dtype, copy=False)
+        if b.requires_grad:
+            b._accum(_unbroadcast(g, b.data.shape))
+        g = g.astype(np.result_type(x.data, w.data), copy=False)
+        if x.requires_grad:
+            x._accum(g @ w.data.T)
+        if w.requires_grad:
+            w._accum(x.data.T @ g)
+    return Tensor(out, parents=(x, w, b), backward=bwd)
 
 
 # ---- composites ----

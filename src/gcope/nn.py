@@ -6,7 +6,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import errors
-from .autodiff import Param, Tensor, edge_spmm, gather_rows, scatter_add_rows, spmm
+from .autodiff import Param, Tensor, dense, edge_spmm, gather_rows, scatter_add_rows, spmm
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -24,11 +24,9 @@ def gcn_normalize(adj: sp.csr_matrix) -> sp.csr_matrix:
     return a
 
 
-_ACTS = {"relu": lambda t: t.relu(), "tanh": lambda t: t.tanh()}
-
-
 class GcnEncoder:
-    """Stack of GCN layers: H' = act(D^-1/2 (A+I) D^-1/2 H W + b)."""
+    """Stack of GCN layers: H' = act(D^-1/2 (A+I) D^-1/2 H W + b), each an
+    `spmm` and a `dense`, so a layer keeps two nodes x width arrays."""
 
     kind = "gcn"
 
@@ -36,7 +34,7 @@ class GcnEncoder:
                  seed: int = 0, dtype=np.float32):
         if len(dims) < 2:
             raise errors.InvalidArgument("need at least input and output dims")
-        if activation not in _ACTS:
+        if activation not in ("relu", "tanh"):
             raise errors.InvalidArgument(f"unknown activation {activation!r}")
         self.dims = list(dims)
         self.num_layers = len(dims) - 1
@@ -67,10 +65,9 @@ class GcnEncoder:
         if x.shape != (a_hat.shape[0], self.dims[0]):
             raise errors.ShapeMismatch(f"encoder expects {a_hat.shape[0]} x "
                                        f"{self.dims[0]} features, got {x.shape}")
-        act = _ACTS[self.activation]
         h = x
         for w, b in zip(self.weights, self.biases):
-            h = act(spmm(a_hat, h) @ w + b)
+            h = dense(spmm(a_hat, h), w, b, self.activation)
         if not np.isfinite(h.data).all():
             raise errors.NonFiniteActivation("encoder produced non-finite activations")
         return h
@@ -126,7 +123,7 @@ class FagcnEncoder:
         if x.shape != (n, self.in_dim):
             raise errors.ShapeMismatch(
                 f"encoder expects {n} x {self.in_dim} features, got {x.shape}")
-        h0 = x @ self.w_in + self.b_in
+        h0 = dense(x, self.w_in, self.b_in)
         residual = h0 * Tensor(np.asarray(self.eps, dtype=h0.dtype))
         top, bottom = np.arange(self.hidden), np.arange(self.hidden, 2 * self.hidden)
         h = h0
@@ -159,7 +156,7 @@ def make_encoder(enc_kind: str, d_p: int, hidden: int = 100, num_layers: int = 2
 
 
 class MlpDecoder:
-    """Two affine layers d_emb -> hidden -> d_out with relu between."""
+    """Two `dense` layers d_emb -> hidden -> d_out with relu between."""
 
     def __init__(self, d_emb: int, hidden: int, d_out: int, seed: int = 0,
                  dtype=np.float32):
@@ -174,7 +171,7 @@ class MlpDecoder:
         return [self.w1, self.b1, self.w2, self.b2]
 
     def forward(self, h: Tensor) -> Tensor:
-        return (h @ self.w1 + self.b1).relu() @ self.w2 + self.b2
+        return dense(dense(h, self.w1, self.b1, "relu"), self.w2, self.b2)
 
 
 class Adam:

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 
 from . import errors
 from .amalgam import bfs_ball
-from .autodiff import (Param, Tensor, concat_rows, gather_rows, no_grad,
+from .autodiff import (Param, Tensor, concat_rows, dense, gather_rows, no_grad,
                        softmax_cross_entropy, softmax_rows)
 from .graphstore import GraphDataset
 from .nn import Adam, graph_readout
@@ -130,7 +130,7 @@ class TrainedModel:
         if self.prompt_tokens is not None:
             x = apply_prompt(x, self.prompt_tokens)
         h = self.encoder.forward(gather_rows(x, batch.nodes), batch.operator)
-        return graph_readout(h, batch.offsets) @ self.head_w + self.head_b
+        return dense(graph_readout(h, batch.offsets), self.head_w, self.head_b)
 
 
 def apply_prompt(x: Tensor, tokens: Param) -> Tensor:

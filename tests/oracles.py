@@ -4,8 +4,9 @@ Everything here is deliberately brute-force and written without reusing
 library internals: cyclic Jacobi eigensolver, dense joint-adjacency
 materialization, loop-based losses, scalar Adam, np.add.at row sums,
 the per-graph subset mean, diagonal-matrix GCN normalisation, Floyd-Warshall distances, central finite
-differences. The diagonal-mask NT-Xent is the exception: it is built from
-the library's tape ops, so that its gradients can be compared byte for byte.
+differences. The diagonal-mask NT-Xent and the matmul, add and activation
+chain are the exceptions: they are built from the library's tape ops, so that
+their gradients can be compared byte for byte.
 """
 
 import numpy as np
@@ -110,6 +111,19 @@ def eye_mask_nt_xent(anchors: Tensor, positives: Tensor, tau: float) -> Tensor:
     diag = (sims * Tensor(np.eye(sims.shape[0], dtype=sims.data.dtype))) \
         .sum(axis=1, keepdims=True)
     return (logsumexp_rows(sims) - diag).mean()
+
+
+def affine_chain(x: Tensor, w: Tensor, b: Tensor, activation=None) -> Tensor:
+    """activation(x @ w + b) as the layers computed it before `dense`: a matmul,
+    an add and an activation op, each keeping its own output on the tape."""
+    s = x @ w + b
+    if activation == "tanh":
+        return s.tanh()
+    if activation == "relu":
+        def bwd(g):
+            s._accum(g * (s.data > 0))
+        return Tensor(np.maximum(s.data, 0), parents=(s,), backward=bwd)
+    return s
 
 
 def add_at_row_sum(rows: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:

@@ -5,13 +5,13 @@ import pytest
 import scipy.sparse as sp
 
 from gcope import errors
-from gcope.autodiff import (Param, Tensor, concat_rows, edge_spmm, gather_rows,
+from gcope.autodiff import (Param, Tensor, concat_rows, dense, edge_spmm, gather_rows,
                             logsumexp_rows, mse, no_grad, normalize_rows,
                             scatter_add_rows, softmax_cross_entropy, softmax_rows, spmm)
 from gcope.nn import make_encoder
 from gcope.transfer import InducedSubgraph, TrainedModel
 
-from oracles import add_at_row_sum, finite_diff_grad, rel_err
+from oracles import add_at_row_sum, affine_chain, finite_diff_grad, rel_err
 
 
 def check_grad(build_loss, *params, tol=1e-4):
@@ -61,7 +61,7 @@ def test_matmul_broadcast_bias_grads(seed):
 def test_unary_ops_grads(seed):
     rng = np.random.default_rng(seed)
     p = Param(rng.uniform(0.5, 2.0, size=(3, 3)), name="pos")
-    check_grad(lambda: (p.log() + p.sqrt() + p.exp()).relu().sum(), p)
+    check_grad(lambda: (p.log() + p.sqrt() + p.exp()).sum(), p)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -200,6 +200,55 @@ def test_edge_spmm_under_no_grad_records_no_parents():
         out = edge_spmm(indptr, cols, w, h)
     assert not out.requires_grad and out._parents == () and out._backward is None
     assert out.data.tobytes() == edge_spmm(indptr, cols, w, h).data.tobytes()
+
+
+ACTIVATIONS = [None, "relu", "tanh"]
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@pytest.mark.parametrize("seed", range(5))
+def test_dense_grads(activation, seed):
+    rng = np.random.default_rng(seed)
+    x, w, bias = rnd(rng, 6, 3), rnd(rng, 3, 4), rnd(rng, 4)
+    # keep every pre-activation clear of relu's kink at 0
+    out = x.data @ w.data + bias.data
+    bias.data = bias.data + np.where(np.abs(out).min(axis=0) < 1e-2, 0.5, 0.0)
+    check_grad(lambda: dense(x, w, bias, activation).square().sum(), x, w, bias)
+
+
+# dtypes of x, w, b and the upstream gradient: one dtype throughout; a float64
+# loss over float32 layers; the transfer head's float64 readout into float32
+# weights; and a bias wider than x @ w
+@pytest.mark.parametrize("dtypes", [(np.float32,) * 4, (np.float64,) * 4,
+                                    (np.float32,) * 3 + (np.float64,),
+                                    (np.float64, np.float32, np.float32, np.float64),
+                                    (np.float32, np.float32, np.float64, np.float32)],
+                         ids=["f32", "f64", "f64-upstream", "head", "wide-bias"])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_dense_is_bitwise_the_matmul_add_activation_chain(dtypes, activation):
+    rng = np.random.default_rng(0)
+    x0, w0, b0, u = (rng.standard_normal(shape).astype(dt)
+                     for shape, dt in zip([(40, 16), (16, 8), (8,), (40, 8)], dtypes))
+    results = []
+    for op in (dense, affine_chain):
+        x, w, b = Param(x0.copy()), Param(w0.copy()), Param(b0.copy())
+        out = op(x, w, b, activation)
+        # two consumers, so a float64 upstream gradient reaches the op uncast
+        (out * Tensor(u) + out * Tensor(u[::-1])).sum().backward()
+        results.append((out.data, x.grad, w.grad, b.grad))
+    assert results[0][0].dtype == np.result_type(x0, w0, b0)
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_dense_under_no_grad_records_no_parents(activation):
+    rng = np.random.default_rng(0)
+    x, w, bias = rnd(rng, 6, 3), rnd(rng, 3, 4), rnd(rng, 4)
+    with no_grad():
+        out = dense(x, w, bias, activation)
+    assert not out.requires_grad and out._parents == () and out._backward is None
+    assert out.data.tobytes() == dense(x, w, bias, activation).data.tobytes()
 
 
 def test_shared_first_gradient_survives_accumulation():

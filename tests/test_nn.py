@@ -147,6 +147,19 @@ def test_fagcn_float32_keeps_no_edges_by_hidden_array():
     assert per_edge and all(b.shape == (adj.nnz, 1) for b in per_edge)
 
 
+def test_gcn_float32_keeps_two_node_arrays_per_layer():
+    """A GCN layer is an `spmm` and a `dense`, so the tape keeps the input and
+    two nodes x width arrays per layer: no pre-activation array."""
+    layers = 3
+    enc = GcnEncoder([4] + [5] * layers, seed=0)
+    adj = ring_adjacency(7)
+    x = np.random.default_rng(0).standard_normal((7, 4)).astype(np.float32)
+    out = enc.forward(Tensor(x), enc.prepare(adj))
+    assert out.dtype == np.float32
+    per_node = [b for b in tape_buffers(out) if b.shape[:1] == (7,)]
+    assert len(per_node) <= 1 + 2 * layers
+
+
 def test_adam_zero_grad_leaves_params():
     p = Param(np.array([1.0, 2.0]))
     opt = Adam([p], lr=0.1)
