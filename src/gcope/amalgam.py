@@ -5,7 +5,8 @@ the adjacency is [[block_diag(sources), X], [X^T, C]]: X wires each
 coordinator to every node of its dataset, and C wires coordinators to each
 other according to `inter_mode`.
 Coordinator features are learnable parameters shared with the training
-graph via `feature_tensor`.
+graph via `feature_tensor`. `per_dataset=0` is the graph without
+coordinators: the block-diagonal union of the sources.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class CoordinatorSet:
 class JointGraph:
     adjacency: sp.csr_matrix            # (N + M*c) x (N + M*c), symmetric binary
     base_features: np.ndarray           # N x d_p, projected ordinary-node features
-    coords: CoordinatorSet | None
+    coords: CoordinatorSet
     origin: np.ndarray                  # per-node dataset index (coordinators too)
 
     @property
@@ -66,7 +67,7 @@ class JointGraph:
 
     def feature_tensor(self) -> Tensor:
         """Differentiable feature matrix; gradients reach coordinator features."""
-        if self.coords is None or self.num_coordinators == 0:
+        if self.num_coordinators == 0:   # a 0-row Param would make x need a gradient
             return Tensor(self.base_features)
         return concat_rows([Tensor(self.base_features), self.coords.features])
 
@@ -76,7 +77,7 @@ class JointGraph:
 
 def build_joint_graph(projected: list[ProjectedFeatures],
                       adjacencies: list[sp.csr_matrix],
-                      coords: CoordinatorSet | None,
+                      coords: CoordinatorSet,
                       seed: int = 0) -> JointGraph:
     if not projected:
         raise errors.EmptyDatasetList("no datasets to amalgamate")
@@ -92,16 +93,13 @@ def build_joint_graph(projected: list[ProjectedFeatures],
         if a.shape != (sz, sz):
             raise errors.DimensionMismatch("adjacency shape does not match features")
     m, n = len(sizes), sum(sizes)
-    c = coords.per_dataset if coords is not None else 0
-    linked = np.zeros((0, 0), dtype=bool)
-    if c > 0:
-        if coords.features is None:
-            coords.init_features(m, d_p, seed=seed)
-        if coords.features.data.shape != (m * c, d_p):
-            raise errors.DimensionMismatch(
-                f"coordinator features shape {coords.features.data.shape}, "
-                f"expected {(m * c, d_p)}")
-        linked = _coordinator_block(coords)
+    c = coords.per_dataset
+    if coords.features is None:
+        coords.init_features(m, d_p, seed=seed)
+    if coords.features.data.shape != (m * c, d_p):
+        raise errors.DimensionMismatch(
+            f"coordinator features shape {coords.features.data.shape}, "
+            f"expected {(m * c, d_p)}")
     origin = np.concatenate([np.repeat(np.arange(m), sizes), np.repeat(np.arange(m), c)])
     # X pairs node v with coordinators origin[v]*c, ..., origin[v]*c + c - 1
     x = np.vstack([np.repeat(np.arange(n), c),
@@ -109,7 +107,7 @@ def build_joint_graph(projected: list[ProjectedFeatures],
     sources = sp.block_diag(adjacencies, format="coo")
     static = np.hstack([np.vstack([sources.row, sources.col]), x, x[::-1]])
     base = np.vstack([p.matrix for p in projected]).astype(np.float32)
-    return JointGraph(adjacency=_joint_adjacency(static, linked, n),
+    return JointGraph(adjacency=_joint_adjacency(static, _coordinator_block(coords), n),
                       base_features=base, coords=coords, origin=origin)
 
 

@@ -11,9 +11,9 @@ from . import errors
 from .amalgam import CoordinatorSet
 from .checkpoint import config_fingerprint, load_checkpoint, save_checkpoint
 from .evalkit import (METRICS, SUMMARY_COLS, ExperimentParams, run_ablation,
-                      run_gcope, run_isolated_pretrain, run_supervised,
-                      summary_rows, transfer_repeats, write_csv,
-                      write_summary_csv, write_summary_markdown)
+                      run_pretrained, run_supervised, summary_rows,
+                      transfer_repeats, write_csv, write_summary_csv,
+                      write_summary_markdown)
 from .graphstore import describe, load_dataset, synth_dataset, write_dataset
 from .nn import ARCHITECTURE
 from .pretrain import AugmentationSpec, PretrainConfig, pretrain
@@ -68,12 +68,12 @@ def _architecture(r: dict) -> dict:
 def cmd_pretrain(args) -> int:
     r = _resolved(args)
     sources = [load_dataset(p) for p in args.sources.split(",")]
-    coords = _coords(r)
     params = _experiment_params(r, transfer=False)
+    coords = params.coords
     result = pretrain(sources, params.proj_cfg, coords, cfg=params.pretrain_cfg,
                       **params.encoder)
     tensors = [(p.name, p.data) for p in result.encoder.params()]
-    if coords.features is not None:
+    if coords.per_dataset:
         tensors.append((coords.features.name, coords.features.data))
     save_checkpoint(args.out, _architecture(r), config_fingerprint(r), tensors)
     loss_csv = args.loss_csv or args.out + ".loss.csv"
@@ -124,17 +124,17 @@ def _experiment_params(r: dict, transfer: bool = True) -> ExperimentParams:
     return ExperimentParams(encoder=encoder, k_shot=r["shots"], hops=r["hops"],
                             repeats=r["repeats"], base_seed=r["seed"],
                             proj_cfg=proj_cfg, pretrain_cfg=pretrain_cfg,
-                            transfer_cfg=transfer_cfg)
+                            transfer_cfg=transfer_cfg, coords=_coords(r))
 
 
 def cmd_eval(args) -> int:
     r = _resolved(args)
     sources = [load_dataset(p) for p in args.sources.split(",")]
     target = load_dataset(args.target)
-    params, coords = _experiment_params(r), _coords(r)
+    params = _experiment_params(r)
     summaries = [run_supervised(target, params),
-                 run_isolated_pretrain(sources, target, params),
-                 run_gcope(sources, target, params, coords)]
+                 run_pretrained(sources, target, params, "isolated_pretrain"),
+                 run_pretrained(sources, target, params)]
     baselines = summaries[:2]
     rows = summary_rows(summaries, imp_vs=baselines)
     write_summary_csv(args.out, rows)
@@ -156,7 +156,7 @@ def cmd_ablate(args) -> int:
         grid = [parse(x) for x in args.grid.split(",")]
     except ValueError as e:
         raise errors.InvalidArgument(f"--grid: {e}") from None
-    results = run_ablation(args.kind, grid, sources, target, params, _coords(r))
+    results = run_ablation(args.kind, grid, sources, target, params)
     write_csv(args.out, ["point"] + SUMMARY_COLS[2:],
               ([point] + [v for m in METRICS for v in (s.mean[m], s.std[m])]
                for point, s in results))

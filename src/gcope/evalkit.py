@@ -48,6 +48,7 @@ class ExperimentParams:
     proj_cfg: ProjectionConfig = field(default_factory=ProjectionConfig)
     pretrain_cfg: PretrainConfig = field(default_factory=PretrainConfig)
     transfer_cfg: TransferConfig = field(default_factory=TransferConfig)
+    coords: CoordinatorSet = field(default_factory=CoordinatorSet)   # features unread
 
     def __post_init__(self):
         if self.repeats < 1:
@@ -84,27 +85,18 @@ def run_supervised(target: GraphDataset, params: ExperimentParams) -> RunSummary
     return _downstream_repeats(fresh, target, params, "supervised")
 
 
-def _pretrained_summary(sources, target, params: ExperimentParams,
-                        coords: CoordinatorSet | None, scheme: str) -> RunSummary:
+def run_pretrained(sources: list[GraphDataset], target: GraphDataset,
+                   params: ExperimentParams, scheme: str = "gcope") -> RunSummary:
+    """Pretrain on `sources` with `params.coords`, then transfer to `target`.
+    The "isolated_pretrain" baseline is the same run with no coordinators."""
+    coords = replace(params.coords, features=None)   # params stays unchanged
+    if scheme == "isolated_pretrain":
+        coords.per_dataset = 0
     result = pretrain(sources, params.proj_cfg, coords, cfg=params.pretrain_cfg,
                       **params.encoder)
     # finetune and prompt_transfer train a copy, so every repeat starts
     # from the same pretrained weights
     return _downstream_repeats(lambda _seed: result.encoder, target, params, scheme)
-
-
-def run_isolated_pretrain(sources: list[GraphDataset], target: GraphDataset,
-                          params: ExperimentParams) -> RunSummary:
-    """Multi-source pretraining with no coordinators: pure block-diagonal graph."""
-    return _pretrained_summary(sources, target, params, None, "isolated_pretrain")
-
-
-def run_gcope(sources: list[GraphDataset], target: GraphDataset,
-              params: ExperimentParams,
-              coords: CoordinatorSet = None) -> RunSummary:
-    if coords is None:
-        coords = CoordinatorSet()
-    return _pretrained_summary(sources, target, params, coords, "gcope")
 
 
 def improvement_pct(gcope: RunSummary, baselines: list[RunSummary]) -> dict:
@@ -119,34 +111,30 @@ def improvement_pct(gcope: RunSummary, baselines: list[RunSummary]) -> dict:
 
 
 def run_ablation(kind: str, grid: list, sources: list[GraphDataset],
-                 target: GraphDataset, params: ExperimentParams,
-                 coords: CoordinatorSet = None) -> list[tuple]:
+                 target: GraphDataset, params: ExperimentParams) -> list[tuple]:
     """One RunSummary per grid point; identical seeds across points.
 
-    Each point varies one setting of `params` or of the base coordinator
-    set `coords` (defaults when None) and keeps the others. Every point is
-    built, and so validated, before any is pretrained.
+    Each point varies one setting of `params` or of `params.coords` and
+    keeps the others. Every point is built, and so validated, before any is
+    pretrained.
     """
     if not grid:
         raise errors.InvalidArgument("ablation grid is empty")
-    base = coords if coords is not None else CoordinatorSet()
     points = []
     for point in grid:
-        # a fresh set per point: pretraining initialises and trains its features
-        p, c = params, replace(base, features=None)
         if kind == "lambda_sweep":
             p = replace(params, pretrain_cfg=replace(params.pretrain_cfg,
                                                      lam=float(point)))
         elif kind == "inter_edges":
             mode, threshold = parse_inter_mode(str(point))
-            c = replace(c, inter_mode=mode, dynamic_threshold=threshold)
+            p = replace(params, coords=replace(params.coords, inter_mode=mode,
+                                               dynamic_threshold=threshold))
         elif kind == "coordinator_count":
-            c = replace(c, per_dataset=int(point))
+            p = replace(params, coords=replace(params.coords, per_dataset=int(point)))
         else:
             raise errors.InvalidArgument(f"unknown ablation kind {kind!r}")
-        points.append((point, p, c))
-    return [(point, _pretrained_summary(sources, target, p, c, "gcope"))
-            for point, p, c in points]
+        points.append((point, p))
+    return [(point, run_pretrained(sources, target, p)) for point, p in points]
 
 
 # ---- report emission ----

@@ -219,10 +219,11 @@ class PretrainResult:
 
 
 def pretrain(graphs: list[GraphDataset], proj_cfg: ProjectionConfig,
-             coords: CoordinatorSet | None, enc_kind: str, cfg: PretrainConfig,
+             coords: CoordinatorSet, enc_kind: str, cfg: PretrainConfig,
              **architecture) -> PretrainResult:
     """Pretrain a `make_encoder(enc_kind, proj_cfg.d_p, **architecture)`
-    encoder on the joint graph of `graphs`."""
+    encoder on the joint graph of `graphs`, training `coords.features` with
+    it. `coords.per_dataset=0` pretrains on the sources without coordinators."""
     if not graphs:
         raise errors.EmptyDatasetList("need at least one source graph")
     projected = project_all(graphs, proj_cfg)
@@ -230,14 +231,12 @@ def pretrain(graphs: list[GraphDataset], proj_cfg: ProjectionConfig,
                            seed=cfg.seed)
     encoder = make_encoder(enc_kind, proj_cfg.d_p, **architecture, seed=cfg.seed)
     decoder = MlpDecoder(encoder.out_dim, encoder.out_dim, proj_cfg.d_p, seed=cfg.seed)
-    params = encoder.params() + decoder.params()
-    if coords is not None and jg.num_coordinators > 0:
-        params.append(coords.features)
-    opt = Adam(params, lr=cfg.learning_rate)
+    opt = Adam(encoder.params() + decoder.params() + [coords.features],
+               lr=cfg.learning_rate)
 
     history: list[LossReport] = []
     for epoch in range(cfg.epochs):
-        if coords is not None and coords.inter_mode == "dynamic":
+        if coords.inter_mode == "dynamic":
             jg = refresh_dynamic_edges(jg, coords)
         history.append(pretrain_epoch(jg, encoder, decoder, cfg, epoch, opt))
     return PretrainResult(encoder=encoder, history=history)

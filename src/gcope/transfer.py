@@ -217,13 +217,6 @@ def prompt_transfer(encoder, task: FewShotTask, cfg: TransferConfig,
     return _transfer(encoder, task, cfg, proj_cfg, tokens)
 
 
-def trainable_param_count(model: TrainedModel) -> int:
-    params = [model.head_w, model.head_b]
-    params += ([model.prompt_tokens] if model.prompt_tokens is not None
-               else model.encoder.params())
-    return int(sum(p.data.size for p in params))
-
-
 # ---- metrics ----
 
 def accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:

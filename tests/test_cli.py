@@ -142,7 +142,7 @@ def test_every_config_key_changes_what_the_cli_builds(key):
 
     def built(overrides):
         r = config.resolve(overrides={**base, **overrides})
-        return cli._experiment_params(r), cli._coords(r), cli._architecture(r)
+        return cli._experiment_params(r), cli._architecture(r)
 
     assert built({key: value}) != built({})
 
@@ -161,8 +161,9 @@ def library_defaults() -> dict:
     aug1, aug2 = pre.augmentations
     return {
         "proj_dim": [ProjectionConfig().d_p, params.proj_cfg.d_p],
-        "coordinators_per_dataset": [coords.per_dataset],
-        "inter_mode": [(coords.inter_mode, coords.dynamic_threshold)],
+        "coordinators_per_dataset": [coords.per_dataset, params.coords.per_dataset],
+        "inter_mode": [(c.inter_mode, c.dynamic_threshold)
+                       for c in (coords, params.coords)],
         "objective": [pre.objective], "tau": [pre.temperature], "lambda": [pre.lam],
         "epochs": [pre.epochs], "batch_size": [pre.batch_size],
         "hops": [pre.hops, params.hops], "perturb_scale": [pre.perturb_scale],
@@ -221,6 +222,20 @@ def test_pretrain_checkpoint_holds_architecture_encoder_and_coordinators(tmp_pat
     ckpt = load_checkpoint(str(pretrain(tmp_path)))
     assert sorted(ckpt.hyper) == sorted(ARCHITECTURE)
     assert list(ckpt.tensors) == [p.name for p in ckpt.encoder().params()] + ["coordinators"]
+
+
+def test_pretrain_without_coordinators_under_every_inter_mode(tmp_path):
+    """Zero coordinators save no coordinator tensor, and every inter mode,
+    dynamic among them, pretrains the same encoder with the same losses."""
+    runs = set()
+    for mode in ("full", "none", "dynamic"):
+        path = pretrain(tmp_path, f"{mode}.ckpt",
+                        ("--coordinators-per-dataset", "0", "--inter-mode", mode))
+        ckpt = load_checkpoint(str(path))
+        assert list(ckpt.tensors) == [p.name for p in ckpt.encoder().params()]
+        runs.add((tuple(t.tobytes() for t in ckpt.tensors.values()),
+                  Path(str(path) + ".loss.csv").read_text()))
+    assert len(runs) == 1
 
 
 def test_inspect_prints_manifest_and_dataset(tmp_path, capsys):

@@ -4,8 +4,8 @@ import pytest
 from gcope import errors, evalkit
 from gcope.amalgam import CoordinatorSet, build_joint_graph
 from gcope.evalkit import (ExperimentParams, RunSummary, improvement_pct,
-                           run_ablation, run_gcope, run_isolated_pretrain,
-                           run_supervised, summary_rows, write_summary_csv,
+                           run_ablation, run_pretrained, run_supervised,
+                           summary_rows, write_summary_csv,
                            write_summary_markdown)
 from gcope.graphstore import synth_dataset
 from gcope.pretrain import AugmentationSpec, PretrainConfig
@@ -97,8 +97,8 @@ def test_three_schemes_run_and_bookkeep():
     sources, target = tiny_data()
     params = tiny_params()
     sup = run_supervised(target, params)
-    iso = run_isolated_pretrain(sources, target, params)
-    gco = run_gcope(sources, target, params)
+    iso = run_pretrained(sources, target, params, "isolated_pretrain")
+    gco = run_pretrained(sources, target, params)
     for s, name in ((sup, "supervised"), (iso, "isolated_pretrain"),
                     (gco, "gcope")):
         assert s.scheme == name
@@ -107,10 +107,23 @@ def test_three_schemes_run_and_bookkeep():
         assert 0.0 <= s.mean["acc"] <= 1.0
 
 
+def test_run_pretrained_leaves_params_unchanged_and_reruns_alike():
+    """Each run trains its own copy of `params.coords`, so a second run with
+    the same params starts from the same coordinator features."""
+    sources, target = tiny_data()
+    params = tiny_params()
+    runs = [run_pretrained(sources, target, params) for _ in range(2)]
+    assert params.coords.features is None
+    first, second = (np.array([[r.acc, r.auc, r.f1] for r in s.reports]).tobytes()
+                     for s in runs)
+    assert first == second
+
+
 def test_isolated_pretraining_has_no_coordinators():
     sources, _ = tiny_data()
     jg = build_joint_graph(project_all(sources, ProjectionConfig(d_p=5)),
-                           [g.adjacency for g in sources], None)
+                           [g.adjacency for g in sources],
+                           CoordinatorSet(per_dataset=0))
     assert jg.num_coordinators == 0
     # block-diagonal: nothing connects the two source blocks
     n0 = sources[0].num_nodes
@@ -161,12 +174,12 @@ def test_ablation_points_vary_one_field_of_the_base_coordinators(monkeypatch):
 
     monkeypatch.setattr(evalkit, "pretrain", spy)
     sources, target = tiny_data()
-    params = tiny_params(repeats=1)
     base = CoordinatorSet(per_dataset=2, inter_mode="none")
-    run_ablation("lambda_sweep", [0.5], sources, target, params, base)
+    params = tiny_params(repeats=1, coords=base)
+    run_ablation("lambda_sweep", [0.5], sources, target, params)
     rows = run_ablation("inter_edges", ["full", "dynamic:0.5"], sources, target,
-                        params, base)
-    run_ablation("coordinator_count", [3], sources, target, params, base)
+                        params)
+    run_ablation("coordinator_count", [3], sources, target, params)
     assert [p for p, _ in rows] == ["full", "dynamic:0.5"]
     assert seen == [(2, "none", 0.0, True, 0.5),
                     (2, "full", 0.0, True, 0.2),

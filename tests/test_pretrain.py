@@ -156,8 +156,8 @@ def augment_views_digest():
                                      ((120, 80), 2, 1), ((60, 40), 1, 2)):
         graphs = [synth_dataset(n, 3, 8, 0.6, i) for i, n in enumerate(sizes)]
         proj = project_all(graphs, ProjectionConfig(d_p=6))
-        coords = CoordinatorSet(per_dataset=per_dataset) if per_dataset else None
-        jg = build_joint_graph(proj, [g.adjacency for g in graphs], coords)
+        jg = build_joint_graph(proj, [g.adjacency for g in graphs],
+                               CoordinatorSet(per_dataset=per_dataset))
         for k, nodes in enumerate(sample_joint_batch(jg, 3, hops, 0)):
             s = make_sample(jg, nodes)
             for kind in KINDS:
@@ -382,6 +382,19 @@ def test_pretrain_deterministic_bitwise():
                        "gcn", make_cfg(epochs=3), hidden=8)
         runs.append(np.concatenate([p.data.ravel() for p in res.encoder.params()]))
     assert runs[0].tobytes() == runs[1].tobytes()
+
+
+def test_zero_coordinators_pretrain_alike_under_dynamic_and_full_wiring():
+    """With no coordinators the dynamic rewiring rebuilds the same graph, so
+    it trains what the full wiring trains, bit for bit."""
+    graphs = [synth_dataset(12, 2, 6, 0.7, i) for i in range(2)]
+    runs = []
+    for mode in ("dynamic", "full"):
+        res = pretrain(graphs, ProjectionConfig(d_p=5),
+                       CoordinatorSet(per_dataset=0, inter_mode=mode),
+                       "gcn", make_cfg(epochs=3), hidden=8)
+        runs.append(([p.data.tobytes() for p in res.encoder.params()], res.history))
+    assert runs[0] == runs[1]
 
 
 def test_loss_decreases_on_small_problem():

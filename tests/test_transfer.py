@@ -13,8 +13,7 @@ from gcope.transfer import (TrainedModel, TransferConfig, accuracy, apply_prompt
                             binary_auc,
                             build_fewshot_task, evaluate_model, finetune,
                             induce_subgraph, macro_f1, macro_ovr_auc,
-                            predict_scores, prompt_transfer,
-                            trainable_param_count)
+                            predict_scores, prompt_transfer)
 
 from oracles import finite_diff_grad, floyd_warshall, rel_err
 
@@ -349,10 +348,14 @@ def test_prompt_trainable_param_count():
     g = target_graph(n=120, classes=5, d=16, seed=4)
     task = build_fewshot_task(g, 2, seed=0)
     enc = make_encoder("gcn", 100, hidden=100, seed=0)
+    before = [p.data.tobytes() for p in enc.params()]
     model = prompt_transfer(enc, task, TransferConfig(
         mode="prompt", epochs=1, prompt_tokens=10), ProjectionConfig(d_p=100))
+    # the encoder is frozen, so the tokens and the head are all that train:
     # 10 tokens x 100 dims + 100 x 5 head weights + 5 biases
-    assert trainable_param_count(model) == 1505
+    assert [p.data.tobytes() for p in model.encoder.params()] == before
+    trained = (model.prompt_tokens, model.head_w, model.head_b)
+    assert sum(p.data.size for p in trained) == 1505
 
 
 def test_prompt_tokens_gradient_matches_finite_differences():
