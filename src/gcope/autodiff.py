@@ -10,7 +10,9 @@ the transpose of a 0/1 selector whose row k holds a 1 in column idx[k]), or
 in `edge_spmm` as a constant structure whose data is a tensor. SciPy adds a
 CSR or CSC product's terms in stored order, k = 0, 1, ...: `np.add.at`'s
 order. So selector row sums (exact products by 1) equal its sequential ones
-bit for bit. An affine layer is one `dense` op, which keeps no pre-activation.
+bit for bit. An affine layer is one `dense` op and a GCN layer one `spmm` op;
+neither keeps a pre-activation, and `spmm` recomputes its a @ x in backward
+rather than keep it. `mse` is one op that keeps only pred - target.
 The op set is exactly what the layers and losses need; nothing more.
 """
 
@@ -285,15 +287,6 @@ def scatter_add_rows(t: Tensor, idx: np.ndarray, n_rows: int) -> Tensor:
                   backward=bwd)
 
 
-def spmm(a: sp.csr_matrix, t: Tensor) -> Tensor:
-    """Constant sparse matrix times dense tensor."""
-    t = as_tensor(t)
-
-    def bwd(g):
-        t._accum(a.T @ g)
-    return Tensor(a @ t.data, parents=(t,), backward=bwd)
-
-
 def edge_spmm(indptr: np.ndarray, cols: np.ndarray, w: Tensor, h: Tensor) -> Tensor:
     """A_w @ h for the CSR matrix A_w with structure (indptr, cols) and data w,
     an E x 1 tensor. Bit-identical, gradients too, to scatter_add_rows(
@@ -311,12 +304,17 @@ def edge_spmm(indptr: np.ndarray, cols: np.ndarray, w: Tensor, h: Tensor) -> Ten
     return Tensor(a @ h.data, parents=(w, h), backward=bwd)
 
 
-def dense(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None) -> Tensor:
-    """activation(x @ w + b), activation "relu", "tanh" or None, keeping only x and
-    the output, off which the backward reads the derivative. Bit-identical, gradients
-    too, to the matmul, add and activation chain: it casts where their `_accum`s do."""
+def _affine(a: sp.csr_matrix | None, x: Tensor, w: Tensor, b: Tensor,
+            activation: str | None) -> Tensor:
+    """activation((a @ x) @ w + b), activation "relu", "tanh" or None, for a
+    constant sparse `a` or, with `a` None, activation(x @ w + b). It keeps only x
+    and the output, off which the backward reads the derivative, and recomputes
+    a @ x for w's gradient. Bit-identical, gradients too, to the sparse product,
+    matmul, add and activation chain: it casts where their `_accum`s do."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    out = (x.data @ w.data).astype(np.result_type(x.data, w.data, b.data), copy=False)
+    ax = x.data if a is None else a @ x.data
+    ax_dtype, g_dtype = ax.dtype, np.result_type(ax, w.data)
+    out = (ax @ w.data).astype(np.result_type(ax, w.data, b.data), copy=False)
     out += b.data   # in place: under no_grad the caller's x is still alive here
     if activation == "relu":
         np.maximum(out, 0, out=out)
@@ -330,12 +328,24 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None) -> Ten
             g = (g * (1.0 - out * out)).astype(out.dtype, copy=False)
         if b.requires_grad:
             b._accum(_unbroadcast(g, b.data.shape))
-        g = g.astype(np.result_type(x.data, w.data), copy=False)
+        g = g.astype(g_dtype, copy=False)
         if x.requires_grad:
-            x._accum(g @ w.data.T)
+            gx = g @ w.data.T
+            x._accum(gx if a is None else a.T @ gx.astype(ax_dtype, copy=False))
         if w.requires_grad:
-            w._accum(x.data.T @ g)
+            w._accum((x.data if a is None else a @ x.data).T @ g)
     return Tensor(out, parents=(x, w, b), backward=bwd)
+
+
+def spmm(a: sp.csr_matrix, x: Tensor, w: Tensor, b: Tensor,
+         activation: str | None = None) -> Tensor:
+    """A GCN layer, activation((a @ x) @ w + b), as one op that keeps no a @ x."""
+    return _affine(a, x, w, b, activation)
+
+
+def dense(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None) -> Tensor:
+    """An affine layer, activation(x @ w + b), as one op."""
+    return _affine(None, x, w, b, activation)
 
 
 # ---- composites ----
@@ -361,11 +371,21 @@ def normalize_rows(t: Tensor) -> Tensor:
 
 
 def mse(pred: Tensor, target: Tensor) -> Tensor:
+    """Mean squared error against a constant target, keeping only pred - target.
+    Bit-identical, gradient too, to (pred - target).square().mean()."""
     pred, target = as_tensor(pred), as_tensor(target)
     if pred.data.shape != target.data.shape:
         raise errors.ShapeMismatch(
             f"mse shapes differ: {pred.data.shape} vs {target.data.shape}")
-    return (pred - target).square().mean()
+    if target.requires_grad:
+        raise errors.InvalidArgument("mse takes its target as a constant")
+    diff = pred.data - target.data
+    scale = np.asarray(1.0 / diff.size)
+
+    def bwd(g):
+        half = (g * scale).astype(diff.dtype) * diff
+        pred._accum(half + half)   # square's two `_accum`s
+    return Tensor(np.asarray((diff * diff).sum()) * scale, parents=(pred,), backward=bwd)
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:

@@ -25,8 +25,8 @@ def gcn_normalize(adj: sp.csr_matrix) -> sp.csr_matrix:
 
 
 class GcnEncoder:
-    """Stack of GCN layers: H' = act(D^-1/2 (A+I) D^-1/2 H W + b), each an
-    `spmm` and a `dense`, so a layer keeps two nodes x width arrays."""
+    """Stack of GCN layers: H' = act(D^-1/2 (A+I) D^-1/2 H W + b), each one
+    `spmm` op, so a layer keeps one nodes x width array, its output."""
 
     kind = "gcn"
 
@@ -67,7 +67,7 @@ class GcnEncoder:
                                        f"{self.dims[0]} features, got {x.shape}")
         h = x
         for w, b in zip(self.weights, self.biases):
-            h = dense(spmm(a_hat, h), w, b, self.activation)
+            h = spmm(a_hat, h, w, b, self.activation)
         if not np.isfinite(h.data).all():
             raise errors.NonFiniteActivation("encoder produced non-finite activations")
         return h

@@ -244,17 +244,17 @@ def pretrain(graphs: list[GraphDataset], proj_cfg: ProjectionConfig,
 
 def _tape_bytes(jg: JointGraph, encoder, cfg: PretrainConfig, samples: list) -> int:
     """A step's forward tape, estimated from its samples. Each view (3 per sample for
-    graphcl, 2 for simgrace) keeps its input gather (nodes x d_p) and per layer two
-    nodes x hidden, plus five edges x 1 for FAGCN, whose input layer and residual
-    keep two more nodes x hidden. The clean view's reconstruction keeps two nodes x
-    hidden and five nodes x d_p, and the step keeps the joint feature matrix twice
-    (parameters not counted)."""
+    graphcl, 2 for simgrace) keeps its input gather (nodes x d_p) and per layer one
+    nodes x hidden for GCN; FAGCN keeps two and five edges x 1 per layer, and its
+    input layer and residual keep two more nodes x hidden. The clean view's
+    reconstruction keeps two nodes x hidden and two nodes x d_p, and the step keeps
+    the joint feature matrix twice (parameters not counted)."""
     d_p, hidden, fagcn = jg.base_features.shape[1], encoder.out_dim, encoder.kind == "fagcn"
     nodes = np.array([s.nodes.size for s in samples])
     edges = np.array([s.adjacency.nnz for s in samples]) * fagcn
-    layer = 2 * nodes * hidden + 5 * edges
+    layer = (1 + fagcn) * nodes * hidden + 5 * edges
     view = nodes * (d_p + 2 * hidden * fagcn) + encoder.num_layers * layer
-    values = (3 if cfg.objective == "graphcl" else 2) * view + nodes * (2 * hidden + 5 * d_p)
+    values = (3 if cfg.objective == "graphcl" else 2) * view + nodes * (2 * hidden + 2 * d_p)
     return (int(values.sum()) + 2 * jg.base_features.size) * encoder.params()[0].data.itemsize
 
 

@@ -4,9 +4,10 @@ Everything here is deliberately brute-force and written without reusing
 library internals: cyclic Jacobi eigensolver, dense joint-adjacency
 materialization, loop-based losses, scalar Adam, np.add.at row sums,
 the per-graph subset mean, diagonal-matrix GCN normalisation, Floyd-Warshall distances, central finite
-differences. The diagonal-mask NT-Xent and the matmul, add and activation
-chain are the exceptions: they are built from the library's tape ops, so that
-their gradients can be compared byte for byte.
+differences. The diagonal-mask NT-Xent, the sparse product, the matmul, add
+and activation chain and the subtract, square and mean chain are the
+exceptions: they are built from the library's tape ops, so that their
+gradients can be compared byte for byte.
 """
 
 import numpy as np
@@ -124,6 +125,20 @@ def affine_chain(x: Tensor, w: Tensor, b: Tensor, activation=None) -> Tensor:
             s._accum(g * (s.data > 0))
         return Tensor(np.maximum(s.data, 0), parents=(s,), backward=bwd)
     return s
+
+
+def sparse_product(a, t: Tensor) -> Tensor:
+    """a @ t for a constant sparse `a`, as a GCN layer computed it before it was
+    one `spmm`: a product op that keeps its output on the tape."""
+    def bwd(g):
+        t._accum(a.T @ g)
+    return Tensor(a @ t.data, parents=(t,), backward=bwd)
+
+
+def mse_chain(pred: Tensor, target: Tensor) -> Tensor:
+    """The mean squared error as the subtract, square and mean ops computed it
+    before `mse` was one op."""
+    return (pred - target).square().mean()
 
 
 def add_at_row_sum(rows: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:

@@ -11,7 +11,8 @@ from gcope.autodiff import (Param, Tensor, concat_rows, dense, edge_spmm, gather
 from gcope.nn import make_encoder
 from gcope.transfer import InducedSubgraph, TrainedModel
 
-from oracles import add_at_row_sum, affine_chain, finite_diff_grad, rel_err
+from oracles import (add_at_row_sum, affine_chain, finite_diff_grad, mse_chain, rel_err,
+                     sparse_product)
 
 
 def check_grad(build_loss, *params, tol=1e-4):
@@ -82,8 +83,8 @@ def test_structural_ops_grads(seed):
 def test_spmm_grad(seed):
     rng = np.random.default_rng(seed)
     a = sp.random(5, 5, density=0.4, random_state=seed, format="csr")
-    x = rnd(rng, 5, 3)
-    check_grad(lambda: spmm(a, x).square().sum(), x)
+    x, w, bias = rnd(rng, 5, 3), rnd(rng, 3, 2), rnd(rng, 2)
+    check_grad(lambda: spmm(a, x, w, bias, "tanh").square().sum(), x, w, bias)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -251,6 +252,76 @@ def test_dense_under_no_grad_records_no_parents(activation):
     assert out.data.tobytes() == dense(x, w, bias, activation).data.tobytes()
 
 
+def shuffled_csr(n: int, per_row: int, seed: int, dtype) -> sp.csr_matrix:
+    """An n x n CSR with `per_row` entries a row, each row's columns stored in
+    shuffled order, magnitudes spread over 1e-4..1 so any change of summation
+    order shows."""
+    rng = np.random.default_rng(seed)
+    cols = np.concatenate([rng.choice(n, per_row, replace=False) for _ in range(n)])
+    data = rng.standard_normal(cols.size) * 10.0 ** rng.uniform(-4, 0, cols.size)
+    return sp.csr_matrix((data.astype(dtype), cols, np.arange(0, cols.size + 1, per_row)),
+                         shape=(n, n))
+
+
+# dtypes of a, x, w, b and the upstream gradient: one dtype throughout; a float64
+# loss over float32 layers; and weights wider than a @ x, so x's gradient is cast
+# back to a @ x's dtype before the product with a's transpose
+@pytest.mark.parametrize("dtypes", [(np.float32,) * 5, (np.float64,) * 5,
+                                    (np.float32,) * 4 + (np.float64,),
+                                    (np.float32, np.float32, np.float64, np.float32,
+                                     np.float32)],
+                         ids=["f32", "f64", "f64-upstream", "wide-weights"])
+@pytest.mark.parametrize("layout", ["unsorted", "sorted"])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_spmm_is_bitwise_the_sparse_product_and_affine_chain(dtypes, layout, activation):
+    a = shuffled_csr(40, 20, 0, dtypes[0])
+    a = a.sorted_indices() if layout == "sorted" else a
+    assert a.has_sorted_indices == (layout == "sorted")
+    rng = np.random.default_rng(1)
+    x0, w0, b0, u = (rng.standard_normal(shape).astype(dt)
+                     for shape, dt in zip([(40, 16), (16, 8), (8,), (40, 8)], dtypes[1:]))
+    results = []
+    for op in (spmm, lambda a, x, w, b, act: affine_chain(sparse_product(a, x), w, b, act)):
+        x, w, b = Param(x0.copy()), Param(w0.copy()), Param(b0.copy())
+        out = op(a, x, w, b, activation)
+        # two consumers, so a float64 upstream gradient reaches the op uncast
+        (out * Tensor(u) + out * Tensor(u[::-1])).sum().backward()
+        results.append((out.data, x.grad, w.grad, b.grad))
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_spmm_under_no_grad_records_no_parents(activation):
+    rng = np.random.default_rng(0)
+    a = shuffled_csr(6, 3, 0, np.float64)
+    x, w, bias = rnd(rng, 6, 3), rnd(rng, 3, 4), rnd(rng, 4)
+    with no_grad():
+        out = spmm(a, x, w, bias, activation)
+    assert not out.requires_grad and out._parents == () and out._backward is None
+    assert out.data.tobytes() == spmm(a, x, w, bias, activation).data.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mse_is_bitwise_the_subtract_square_mean_chain(dtype):
+    rng = np.random.default_rng(0)
+    spread = lambda: rng.standard_normal((40, 8)) * 10.0 ** rng.uniform(-3, 3, (40, 8))
+    p0, t0 = spread().astype(dtype), spread().astype(dtype)
+    results = []
+    for op in (mse, mse_chain):
+        pred = Param(p0.copy())
+        loss = op(pred, Tensor(t0))
+        (loss * 0.37).backward()
+        results.append((loss.data, pred.grad))
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_mse_rejects_a_target_that_needs_a_gradient():
+    with pytest.raises(errors.InvalidArgument):
+        mse(Param(np.zeros((2, 2))), Param(np.ones((2, 2))))
+
+
 def test_shared_first_gradient_survives_accumulation():
     # Both leaves of a + b receive the same gradient array from sum().
     rng = np.random.default_rng(0)
@@ -380,6 +451,12 @@ def test_backward_peak_stays_well_below_the_forward_tape():
     assert forward >= 12 * x.data.nbytes      # two 4000 x 64 buffers per layer
     assert extra < 0.5 * forward, (extra, forward)
     assert all(w.grad is not None for w in ws)
+
+
+def test_mse_keeps_only_pred_on_the_tape():
+    rng = np.random.default_rng(0)
+    pred, target = rnd(rng, 4, 3), Tensor(rng.standard_normal((4, 3)))
+    assert mse(pred, target)._parents == (pred,)
 
 
 def test_no_grad_builds_no_tape_and_computes_the_same_data():

@@ -147,9 +147,9 @@ def test_fagcn_float32_keeps_no_edges_by_hidden_array():
     assert per_edge and all(b.shape == (adj.nnz, 1) for b in per_edge)
 
 
-def test_gcn_float32_keeps_two_node_arrays_per_layer():
-    """A GCN layer is an `spmm` and a `dense`, so the tape keeps the input and
-    two nodes x width arrays per layer: no pre-activation array."""
+def test_gcn_float32_keeps_one_node_array_per_layer():
+    """A GCN layer is one `spmm` op, so the tape keeps the input and one nodes x
+    width array per layer: no a @ x and no pre-activation array."""
     layers = 3
     enc = GcnEncoder([4] + [5] * layers, seed=0)
     adj = ring_adjacency(7)
@@ -157,7 +157,7 @@ def test_gcn_float32_keeps_two_node_arrays_per_layer():
     out = enc.forward(Tensor(x), enc.prepare(adj))
     assert out.dtype == np.float32
     per_node = [b for b in tape_buffers(out) if b.shape[:1] == (7,)]
-    assert len(per_node) <= 1 + 2 * layers
+    assert len(per_node) <= 1 + layers
 
 
 def test_adam_zero_grad_leaves_params():
