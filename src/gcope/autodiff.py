@@ -12,8 +12,9 @@ CSR or CSC product's terms in stored order, k = 0, 1, ...: `np.add.at`'s
 order. So selector row sums (exact products by 1) equal its sequential ones
 bit for bit. An affine layer is one `dense` op and a GCN layer one `spmm` op;
 neither keeps a pre-activation, and `spmm` recomputes its a @ x in backward
-rather than keep it. `mse` is one op that keeps only pred - target.
-The op set is exactly what the layers and losses need; nothing more.
+rather than keep it. Given `rows`, either reads x[rows] itself and keeps no
+gathered copy; a masked gather is one op. `mse` is one op that keeps only
+pred - target. The op set is exactly what the layers and losses need.
 """
 
 from __future__ import annotations
@@ -256,24 +257,37 @@ def concat_rows(tensors: list[Tensor]) -> Tensor:
                   parents=tuple(tensors), backward=bwd)
 
 
-def _selector(idx: np.ndarray, n: int, dtype) -> sp.csr_matrix:
-    """The len(idx) x n 0/1 matrix whose row k has its 1 in column idx[k].
-
-    Raises IndexError unless 0 <= idx < n.
-    """
+def _in_range(idx: np.ndarray, n: int) -> np.ndarray:
+    """idx as an array; raises IndexError unless 0 <= idx < n."""
+    idx = np.asarray(idx)
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise IndexError(f"row index out of range [0, {n})")
+    return idx
+
+
+def _selector(idx: np.ndarray, n: int, dtype) -> sp.csr_matrix:
+    """The len(idx) x n 0/1 matrix whose row k has its 1 in column idx[k]."""
+    idx = _in_range(idx, n)
     return sp.csr_matrix((np.ones(idx.size, dtype=dtype), idx, np.arange(idx.size + 1)),
                          shape=(idx.size, n))
 
 
-def gather_rows(t: Tensor, idx: np.ndarray) -> Tensor:
+def gather_rows(t: Tensor, idx: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
+    """t's rows idx, times a constant 0/1 `mask` of their shape if one is given. The
+    mask is applied in place and kept as bools, so the op keeps one array and a byte
+    an entry: bit-identical, gradient too, to gather_rows(t, idx) * Tensor(mask)."""
     t = as_tensor(t)
     idx = np.asarray(idx)
+    out = t.data[idx]
+    if mask is not None:
+        mask = np.asarray(mask) != 0
+        out *= mask
 
     def bwd(g):
+        if mask is not None:
+            g = g * mask
         t._accum(_selector(idx, t.data.shape[0], g.dtype).T @ g)
-    return Tensor(t.data[idx], parents=(t,), backward=bwd)
+    return Tensor(out, parents=(t,), backward=bwd)
 
 
 def scatter_add_rows(t: Tensor, idx: np.ndarray, n_rows: int) -> Tensor:
@@ -305,14 +319,19 @@ def edge_spmm(indptr: np.ndarray, cols: np.ndarray, w: Tensor, h: Tensor) -> Ten
 
 
 def _affine(a: sp.csr_matrix | None, x: Tensor, w: Tensor, b: Tensor,
-            activation: str | None) -> Tensor:
-    """activation((a @ x) @ w + b), activation "relu", "tanh" or None, for a
-    constant sparse `a` or, with `a` None, activation(x @ w + b). It keeps only x
-    and the output, off which the backward reads the derivative, and recomputes
-    a @ x for w's gradient. Bit-identical, gradients too, to the sparse product,
-    matmul, add and activation chain: it casts where their `_accum`s do."""
+            activation: str | None, rows: np.ndarray | None = None) -> Tensor:
+    """activation((a @ x) @ w + b), activation "relu", "tanh" or None, for a constant
+    sparse `a` or, with `a` None, activation(x @ w + b); with `rows`, of x[rows]. It
+    keeps only x and the output, off which the backward reads the derivative, and
+    recomputes a @ x and x[rows] for w's gradient. Bit-identical, gradients too, to
+    the gather, sparse product, matmul, add and activation chain: it casts where
+    their `_accum`s do."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    ax = x.data if a is None else a @ x.data
+
+    def read():
+        xr = x.data if rows is None else x.data[rows]
+        return xr if a is None else a @ xr
+    ax = read()
     ax_dtype, g_dtype = ax.dtype, np.result_type(ax, w.data)
     out = (ax @ w.data).astype(np.result_type(ax, w.data, b.data), copy=False)
     out += b.data   # in place: under no_grad the caller's x is still alive here
@@ -331,21 +350,34 @@ def _affine(a: sp.csr_matrix | None, x: Tensor, w: Tensor, b: Tensor,
         g = g.astype(g_dtype, copy=False)
         if x.requires_grad:
             gx = g @ w.data.T
-            x._accum(gx if a is None else a.T @ gx.astype(ax_dtype, copy=False))
+            if a is not None:
+                gx = a.T @ gx.astype(ax_dtype, copy=False)
+            if rows is not None:
+                gx = _selector(rows, x.data.shape[0], ax_dtype).T @ gx.astype(ax_dtype, copy=False)
+            x._accum(gx)
         if w.requires_grad:
-            w._accum((x.data if a is None else a @ x.data).T @ g)
+            w._accum(read().T @ g)
     return Tensor(out, parents=(x, w, b), backward=bwd)
 
 
 def spmm(a: sp.csr_matrix, x: Tensor, w: Tensor, b: Tensor,
-         activation: str | None = None) -> Tensor:
-    """A GCN layer, activation((a @ x) @ w + b), as one op that keeps no a @ x."""
+         activation: str | None = None, rows: np.ndarray | None = None) -> Tensor:
+    """A GCN layer, activation((a @ x) @ w + b), as one op that keeps no a @ x. With
+    `rows`, the layer on x[rows] through a with column j read as rows[j]: it adds each
+    product's terms in a's stored order, so is bit-identical to a gather of x first."""
+    if rows is not None:
+        cols = _in_range(rows, x.shape[0])[a.indices]
+        a = sp.csr_matrix((a.data, cols, a.indptr), shape=(a.shape[0], x.shape[0]))
     return _affine(a, x, w, b, activation)
 
 
-def dense(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None) -> Tensor:
-    """An affine layer, activation(x @ w + b), as one op."""
-    return _affine(None, x, w, b, activation)
+def dense(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None,
+          rows: np.ndarray | None = None) -> Tensor:
+    """An affine layer, activation(x @ w + b), as one op. With `rows`, the layer
+    on x[rows], which it reads again in backward rather than keep: bit-identical,
+    gradients too, to a gather of x first."""
+    rows = None if rows is None else _in_range(rows, x.shape[0])
+    return _affine(None, x, w, b, activation, rows)
 
 
 # ---- composites ----

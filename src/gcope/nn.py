@@ -60,14 +60,16 @@ class GcnEncoder:
         its normalised adjacency in the parameters' dtype."""
         return gcn_normalize(adj.astype(self.weights[0].data.dtype, copy=False))
 
-    def forward(self, x: Tensor, a_hat: sp.csr_matrix) -> Tensor:
-        """Embeddings of node features `x` on the graph `prepare` gave `a_hat` for."""
-        if x.shape != (a_hat.shape[0], self.dims[0]):
+    def forward(self, x: Tensor, a_hat: sp.csr_matrix, rows=None) -> Tensor:
+        """Embeddings of node features `x`, or with `rows` of x[rows], on the graph
+        `prepare` gave `a_hat` for; layer 1 reads the rows itself, keeping no copy."""
+        shape = x.shape if rows is None else (len(rows), x.shape[1])
+        if shape != (a_hat.shape[0], self.dims[0]):
             raise errors.ShapeMismatch(f"encoder expects {a_hat.shape[0]} x "
-                                       f"{self.dims[0]} features, got {x.shape}")
+                                       f"{self.dims[0]} features, got {shape}")
         h = x
         for w, b in zip(self.weights, self.biases):
-            h = spmm(a_hat, h, w, b, self.activation)
+            h, rows = spmm(a_hat, h, w, b, self.activation, rows), None
         if not np.isfinite(h.data).all():
             raise errors.NonFiniteActivation("encoder produced non-finite activations")
         return h
@@ -116,19 +118,21 @@ class FagcnEncoder:
         coef = (1.0 / np.sqrt(deg[rows] * deg[cols])).reshape(-1, 1)
         return indptr, rows, cols, Tensor(coef.astype(self.w_in.data.dtype))
 
-    def forward(self, x: Tensor, operator: tuple) -> Tensor:
-        """Embeddings of node features `x` on the graph `prepare` gave `operator` for."""
-        indptr, rows, cols, coef = operator
+    def forward(self, x: Tensor, operator: tuple, rows=None) -> Tensor:
+        """Embeddings of node features `x`, or with `rows` of x[rows], on the graph
+        `prepare` gave `operator` for; the input layer reads the rows itself."""
+        indptr, edge_rows, cols, coef = operator
         n = indptr.size - 1
-        if x.shape != (n, self.in_dim):
+        shape = x.shape if rows is None else (len(rows), x.shape[1])
+        if shape != (n, self.in_dim):
             raise errors.ShapeMismatch(
-                f"encoder expects {n} x {self.in_dim} features, got {x.shape}")
-        h0 = dense(x, self.w_in, self.b_in)
+                f"encoder expects {n} x {self.in_dim} features, got {shape}")
+        h0 = dense(x, self.w_in, self.b_in, rows=rows)
         residual = h0 * Tensor(np.asarray(self.eps, dtype=h0.dtype))
         top, bottom = np.arange(self.hidden), np.arange(self.hidden, 2 * self.hidden)
         h = h0
         for g in self.gates:
-            alpha = (gather_rows(h @ gather_rows(g, top), rows)
+            alpha = (gather_rows(h @ gather_rows(g, top), edge_rows)
                      + gather_rows(h @ gather_rows(g, bottom), cols)).tanh()  # E x 1
             h = residual + edge_spmm(indptr, cols, alpha * coef, h)
         if not np.isfinite(h.data).all():
@@ -156,7 +160,8 @@ def make_encoder(enc_kind: str, d_p: int, hidden: int = 100, num_layers: int = 2
 
 
 class MlpDecoder:
-    """Two `dense` layers d_emb -> hidden -> d_out with relu between."""
+    """Two `dense` layers d_emb -> hidden -> d_out with relu between. Given
+    `rows`, the first reads h[rows] itself, keeping no copy."""
 
     def __init__(self, d_emb: int, hidden: int, d_out: int, seed: int = 0,
                  dtype=np.float32):
@@ -170,8 +175,8 @@ class MlpDecoder:
     def params(self) -> list[Param]:
         return [self.w1, self.b1, self.w2, self.b2]
 
-    def forward(self, h: Tensor) -> Tensor:
-        return dense(dense(h, self.w1, self.b1, "relu"), self.w2, self.b2)
+    def forward(self, h: Tensor, rows=None) -> Tensor:
+        return dense(dense(h, self.w1, self.b1, "relu", rows), self.w2, self.b2)
 
 
 class Adam:

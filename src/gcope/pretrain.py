@@ -174,11 +174,11 @@ def _perturb_edges(adj: sp.csr_matrix, ratio: float,
 
 
 def encode_view(encoder, features: Tensor, view: SampleView, operator) -> Tensor:
-    """`view`'s embeddings; views of one adjacency share its `encoder.prepare`."""
-    x = gather_rows(features, view.nodes)
-    if view.feature_mask is not None:
-        x = x * Tensor(view.feature_mask.astype(x.dtype))
-    return encoder.forward(x, operator)
+    """`view`'s embeddings; views of one adjacency share its `encoder.prepare`. The
+    encoder reads an unmasked view's rows itself; a masked view's are gathered masked."""
+    if view.feature_mask is None:
+        return encoder.forward(features, operator, view.nodes)
+    return encoder.forward(gather_rows(features, view.nodes, view.feature_mask), operator)
 
 
 def nt_xent(anchors: Tensor, positives: Tensor, temperature: float) -> Tensor:
@@ -193,8 +193,9 @@ def nt_xent(anchors: Tensor, positives: Tensor, temperature: float) -> Tensor:
 
 
 def reconstruction_loss(decoder: MlpDecoder, embeddings: Tensor,
-                        targets: Tensor) -> Tensor:
-    return mse(decoder.forward(embeddings), targets)
+                        targets: Tensor, rows=None) -> Tensor:
+    """The MSE of decoding `embeddings`, or with `rows` embeddings[rows]."""
+    return mse(decoder.forward(embeddings, rows), targets)
 
 
 def simgrace_views(encoder, features: Tensor, view: SampleView, eta: float,
@@ -244,18 +245,21 @@ def pretrain(graphs: list[GraphDataset], proj_cfg: ProjectionConfig,
 
 def _tape_bytes(jg: JointGraph, encoder, cfg: PretrainConfig, samples: list) -> int:
     """A step's forward tape, estimated from its samples. Each view (3 per sample for
-    graphcl, 2 for simgrace) keeps its input gather (nodes x d_p) and per layer one
-    nodes x hidden for GCN; FAGCN keeps two and five edges x 1 per layer, and its
-    input layer and residual keep two more nodes x hidden. The clean view's
-    reconstruction keeps two nodes x hidden and two nodes x d_p, and the step keeps
-    the joint feature matrix twice (parameters not counted)."""
+    graphcl, 2 for simgrace) keeps per layer one nodes x hidden for GCN; FAGCN keeps
+    two and five edges x 1 per layer, and its input layer and residual keep two more
+    nodes x hidden. A masked view also keeps its input (nodes x d_p) and a byte an
+    entry for its mask. The reconstruction keeps one nodes x hidden and two nodes x
+    d_p, and the step the joint feature matrix twice (parameters not counted)."""
     d_p, hidden, fagcn = jg.base_features.shape[1], encoder.out_dim, encoder.kind == "fagcn"
     nodes = np.array([s.nodes.size for s in samples])
     edges = np.array([s.adjacency.nnz for s in samples]) * fagcn
     layer = (1 + fagcn) * nodes * hidden + 5 * edges
-    view = nodes * (d_p + 2 * hidden * fagcn) + encoder.num_layers * layer
-    values = (3 if cfg.objective == "graphcl" else 2) * view + nodes * (2 * hidden + 2 * d_p)
-    return (int(values.sum()) + 2 * jg.base_features.size) * encoder.params()[0].data.itemsize
+    view = nodes * 2 * hidden * fagcn + encoder.num_layers * layer
+    graphcl = cfg.objective == "graphcl"
+    masked = graphcl * sum(a.kind == "attr_mask" for a in cfg.augmentations)
+    values = (2 + graphcl) * view + masked * nodes * d_p + nodes * (hidden + 2 * d_p)
+    nbytes = (int(values.sum()) + 2 * jg.base_features.size) * encoder.params()[0].data.itemsize
+    return nbytes + masked * int(nodes.sum()) * d_p
 
 
 def pretrain_epoch(jg: JointGraph, encoder, decoder, cfg: PretrainConfig,
@@ -288,8 +292,7 @@ def pretrain_epoch(jg: JointGraph, encoder, decoder, cfg: PretrainConfig,
         # the center is ordinary, so every sample has reconstruction targets
         ordinary = np.flatnonzero(~jg.is_coordinator(sample.nodes))
         recon_terms.append(reconstruction_loss(
-            decoder, gather_rows(h_clean, ordinary),
-            Tensor(jg.base_features[sample.nodes[ordinary]])))
+            decoder, h_clean, Tensor(jg.base_features[sample.nodes[ordinary]]), ordinary))
     contrastive = nt_xent(concat_rows(z1_rows), concat_rows(z2_rows),
                           cfg.temperature)
     recon = concat_rows([t.reshape(1, 1) for t in recon_terms]).mean()

@@ -5,15 +5,15 @@ library internals: cyclic Jacobi eigensolver, dense joint-adjacency
 materialization, loop-based losses, scalar Adam, np.add.at row sums,
 the per-graph subset mean, diagonal-matrix GCN normalisation, Floyd-Warshall distances, central finite
 differences. The diagonal-mask NT-Xent, the sparse product, the matmul, add
-and activation chain and the subtract, square and mean chain are the
-exceptions: they are built from the library's tape ops, so that their
-gradients can be compared byte for byte.
+and activation chain, the subtract, square and mean chain and the gather
+chains are the exceptions: they are built from the library's tape ops, so
+that their gradients can be compared byte for byte.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from gcope.autodiff import Tensor, logsumexp_rows, normalize_rows
+from gcope.autodiff import Tensor, gather_rows, logsumexp_rows, mse, normalize_rows
 
 
 def jacobi_eigh(a: np.ndarray, sweeps: int = 100, tol: float = 1e-13):
@@ -139,6 +139,36 @@ def mse_chain(pred: Tensor, target: Tensor) -> Tensor:
     """The mean squared error as the subtract, square and mean ops computed it
     before `mse` was one op."""
     return (pred - target).square().mean()
+
+
+def masked_gather(t: Tensor, idx: np.ndarray, mask: np.ndarray) -> Tensor:
+    """A masked view's input as it was computed before the mask went into
+    `gather_rows`: a gather op and a product op, each keeping its output."""
+    return gather_rows(t, idx) * Tensor(mask)
+
+
+def gather_forward(encoder, x: Tensor, operator, rows: np.ndarray) -> Tensor:
+    """An encoder on x[rows] as it ran before the encoders took `rows`: a gather
+    op that keeps its output, then the forward."""
+    return encoder.forward(gather_rows(x, rows), operator)
+
+
+def gather_encode_view(encoder, features: Tensor, view, operator) -> Tensor:
+    """A view's embeddings as pretraining computed them before the encoder read
+    the view's rows itself: a gather, a product with the mask, then the forward."""
+    x = gather_rows(features, view.nodes)
+    if view.feature_mask is not None:
+        x = x * Tensor(view.feature_mask.astype(x.dtype))
+    return encoder.forward(x, operator)
+
+
+def gather_reconstruction_loss(decoder, embeddings: Tensor, targets: Tensor,
+                               rows=None) -> Tensor:
+    """The reconstruction loss as it was computed before the decoder read its
+    rows itself: a gather of the embeddings, then the decoder and the MSE."""
+    if rows is not None:
+        embeddings = gather_rows(embeddings, rows)
+    return mse(decoder.forward(embeddings), targets)
 
 
 def add_at_row_sum(rows: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:

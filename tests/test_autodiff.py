@@ -11,8 +11,8 @@ from gcope.autodiff import (Param, Tensor, concat_rows, dense, edge_spmm, gather
 from gcope.nn import make_encoder
 from gcope.transfer import InducedSubgraph, TrainedModel
 
-from oracles import (add_at_row_sum, affine_chain, finite_diff_grad, mse_chain, rel_err,
-                     sparse_product)
+from oracles import (add_at_row_sum, affine_chain, finite_diff_grad, masked_gather,
+                     mse_chain, rel_err, sparse_product)
 
 
 def check_grad(build_loss, *params, tol=1e-4):
@@ -300,6 +300,78 @@ def test_spmm_under_no_grad_records_no_parents(activation):
         out = spmm(a, x, w, bias, activation)
     assert not out.requires_grad and out._parents == () and out._backward is None
     assert out.data.tobytes() == spmm(a, x, w, bias, activation).data.tobytes()
+
+
+# 40 of 60 rows in shuffled order, so the gradient's unread rows are zero
+READ_ROWS = np.random.default_rng(2).permutation(60)[:40]
+
+
+def rows_results(op, x0, w0, b0, u):
+    """The output and the gradients of x, w and b of `op(x, w, b)`, under two
+    consumers of the output."""
+    x, w, b = Param(x0.copy()), Param(w0.copy()), Param(b0.copy())
+    out = op(x, w, b)
+    (out * Tensor(u) + out * Tensor(u[::-1])).sum().backward()
+    return out.data, x.grad, w.grad, b.grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", ["unsorted", "sorted"])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_spmm_rows_is_bitwise_the_gather_then_spmm(dtype, layout, activation):
+    """Mapping a's columns through `rows` adds each product's terms in a's
+    stored order, as the product with the gathered rows does."""
+    a = shuffled_csr(40, 20, 0, dtype)
+    a = a.sorted_indices() if layout == "sorted" else a
+    rng = np.random.default_rng(1)
+    x0, w0, b0, u = (rng.standard_normal(s).astype(dtype)
+                     for s in [(60, 16), (16, 8), (8,), (40, 8)])
+    got = rows_results(lambda x, w, b: spmm(a, x, w, b, activation, READ_ROWS),
+                       x0, w0, b0, u)
+    want = rows_results(lambda x, w, b: spmm(a, gather_rows(x, READ_ROWS), w, b,
+                                             activation), x0, w0, b0, u)
+    for g, e in zip(got, want):
+        assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_dense_rows_is_bitwise_the_gather_then_dense(dtype, activation):
+    rng = np.random.default_rng(1)
+    x0, w0, b0, u = (rng.standard_normal(s).astype(dtype)
+                     for s in [(60, 16), (16, 8), (8,), (40, 8)])
+    got = rows_results(lambda x, w, b: dense(x, w, b, activation, READ_ROWS),
+                       x0, w0, b0, u)
+    want = rows_results(lambda x, w, b: dense(gather_rows(x, READ_ROWS), w, b,
+                                              activation), x0, w0, b0, u)
+    for g, e in zip(got, want):
+        assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_masked_gather_is_bitwise_the_gather_times_mask(dtype):
+    rng = np.random.default_rng(3)
+    t0, u = rng.standard_normal((60, 16)).astype(dtype), rng.standard_normal((40, 16))
+    mask = (rng.uniform(size=(40, 16)) > 0.3).astype(dtype)
+    results = []
+    for op in (gather_rows, masked_gather):
+        t = Param(t0.copy())
+        out = op(t, READ_ROWS, mask)
+        (out * Tensor(u)).sum().backward()
+        results.append((out.data, t.grad))
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_reading_rows_out_of_range_raises():
+    rng = np.random.default_rng(0)
+    a, x, w, b = shuffled_csr(4, 2, 0, np.float64), rnd(rng, 5, 3), rnd(rng, 3, 2), rnd(rng, 2)
+    for bad in (-1, 5):
+        rows = np.array([0, bad, 1, 2])
+        with pytest.raises(IndexError):
+            spmm(a, x, w, b, None, rows)
+        with pytest.raises(IndexError):
+            dense(x, w, b, None, rows)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 from gcope import errors
 from gcope.amalgam import CoordinatorSet, bfs_ball, build_joint_graph
-from gcope.autodiff import Param, Tensor
+from gcope.autodiff import Param, Tensor, concat_rows
 from gcope.graphstore import synth_dataset
 from gcope.nn import (ARCHITECTURE, Adam, FagcnEncoder, GcnEncoder, MlpDecoder,
                       gcn_normalize, graph_readout, make_encoder)
@@ -15,7 +15,7 @@ from gcope.pretrain import local_adjacency
 from gcope.projection import ProjectionConfig, project_all
 from gcope.transfer import induce_subgraph
 
-from oracles import diags_gcn_normalize, scalar_adam_trajectory, subset_mean
+from oracles import diags_gcn_normalize, gather_forward, scalar_adam_trajectory, subset_mean
 from tapewalk import tape_buffers
 
 
@@ -158,6 +158,49 @@ def test_gcn_float32_keeps_one_node_array_per_layer():
     assert out.dtype == np.float32
     per_node = [b for b in tape_buffers(out) if b.shape[:1] == (7,)]
     assert len(per_node) <= 1 + layers
+
+
+def shuffle_within_rows(a: sp.csr_matrix, seed: int) -> sp.csr_matrix:
+    """`a` with each row's entries stored in shuffled column order."""
+    rng, order = np.random.default_rng(seed), np.arange(a.nnz)
+    for i in range(a.shape[0]):
+        rng.shuffle(order[a.indptr[i]:a.indptr[i + 1]])
+    out = sp.csr_matrix((a.data[order], a.indices[order], a.indptr), shape=a.shape)
+    assert not out.has_sorted_indices
+    return out
+
+
+@pytest.mark.parametrize("kind,activation", [("gcn", "relu"), ("gcn", "tanh"),
+                                             ("fagcn", "relu")],
+                         ids=["gcn-relu", "gcn-tanh", "fagcn"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", ["unsorted", "sorted"])
+def test_forward_rows_is_bitwise_the_gather_then_forward(kind, activation, dtype, layout):
+    """An encoder reading rows of a joint feature tensor gives the output and
+    every gradient, the coordinator rows' too, of the forward on their gather."""
+    rng = np.random.default_rng(0)
+    adj = sp.random(30, 30, density=0.2, random_state=1, format="csr")
+    adj = ((adj + adj.T) > 0).astype(np.float64).tocsr()
+    rows = rng.permutation(44)[:30]              # ordinary and coordinator rows
+    assert (rows >= 40).any()
+    spread = lambda *shape: (rng.standard_normal(shape)
+                             * 10.0 ** rng.uniform(-3, 3, shape)).astype(dtype)
+    base, coords0, u = spread(40, 6), spread(4, 6), spread(30, 8)
+    results = []
+    for forward in (lambda e, x, op: e.forward(x, op, rows),
+                    lambda e, x, op: gather_forward(e, x, op, rows)):
+        enc = make_encoder(kind, 6, hidden=8, activation=activation, dtype=dtype)
+        if kind == "gcn":
+            op = enc.prepare(adj)
+            op = shuffle_within_rows(op, 2) if layout == "unsorted" else op
+        else:
+            op = enc.prepare(shuffle_within_rows(adj, 2) if layout == "unsorted" else adj)
+        coords = Param(coords0.copy())
+        out = forward(enc, concat_rows([Tensor(base), coords]), op)
+        (out * Tensor(u)).sum().backward()
+        results.append([out.data, coords.grad] + [p.grad for p in enc.params()])
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_adam_zero_grad_leaves_params():

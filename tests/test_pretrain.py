@@ -16,7 +16,8 @@ from gcope.pretrain import (AugmentationSpec, PretrainConfig, augment,
                             reconstruction_loss, simgrace_views)
 from gcope.projection import ProjectionConfig, project_all
 
-from oracles import brute_mse, brute_nt_xent, eye_mask_nt_xent
+from oracles import (brute_mse, brute_nt_xent, eye_mask_nt_xent, gather_encode_view,
+                     gather_reconstruction_loss)
 from tapewalk import tape_buffers
 
 
@@ -455,7 +456,8 @@ def test_tape_estimate_is_within_a_factor_of_the_measured_tape(monkeypatch):
         backward(loss)
     monkeypatch.setattr(Tensor, "backward", measuring_backward)
     graphs, jg, coords = small_joint(sizes=(60, 50))
-    for objective, enc in [("graphcl", "gcn"), ("simgrace", "fagcn")]:
+    for objective, enc in [("graphcl", "gcn"), ("graphcl", "fagcn"),
+                           ("simgrace", "gcn"), ("simgrace", "fagcn")]:
         encoder = make_encoder(enc, 6, hidden=16)
         decoder = MlpDecoder(16, 16, 6)
         opt = Adam(encoder.params() + decoder.params() + [coords.features])
@@ -468,3 +470,76 @@ def test_tape_estimate_is_within_a_factor_of_the_measured_tape(monkeypatch):
         monkeypatch.setattr(module, "PHYSICAL_MEMORY_BYTES", estimate)
         module.pretrain_epoch(jg, encoder, decoder, cfg, 0, opt)
         assert 0.67 <= estimate / measured[-1] <= 1.5, (objective, estimate, measured[-1])
+
+
+def one_step(module, jg, coords, objective, enc_kind, d_p, hidden, batch_size):
+    """One `pretrain_epoch` step: its loss report, and the gradients Adam was
+    handed followed by the parameters after the step."""
+    encoder = make_encoder(enc_kind, d_p, hidden=hidden)
+    decoder = MlpDecoder(hidden, hidden, d_p)
+    opt = Adam(encoder.params() + decoder.params() + [coords.features], lr=1e-3)
+    grads, step = [], opt.step
+
+    def recording_step():
+        grads.extend(p.grad for p in opt.params)
+        step()
+    opt.step = recording_step
+    cfg = make_cfg(objective=objective, batch_size=batch_size, hops=2)
+    report = module.pretrain_epoch(jg, encoder, decoder, cfg, 0, opt)
+    return report, grads + [p.data for p in opt.params]
+
+
+@pytest.mark.parametrize("objective,enc", [("graphcl", "gcn"), ("simgrace", "fagcn")])
+def test_step_is_bitwise_the_gather_chain_at_blas_splitting_size(monkeypatch, objective, enc):
+    """At hops=2 each view spans a whole 1,000-node source, where BLAS splits the
+    long products between threads. A step whose ops read their rows gives the
+    gather chain's losses, gradients and parameters byte for byte."""
+    module = importlib.import_module("gcope.pretrain")
+    graphs = [synth_dataset(1000, 4, 64, h, i) for i, h in enumerate((0.9, 0.2))]
+    proj = project_all(graphs, ProjectionConfig(d_p=32))
+    runs = []
+    for chain in (False, True):
+        if chain:
+            monkeypatch.setattr(module, "encode_view", gather_encode_view)
+            monkeypatch.setattr(module, "reconstruction_loss", gather_reconstruction_loss)
+        coords = CoordinatorSet(per_dataset=1)
+        jg = build_joint_graph(proj, [g.adjacency for g in graphs], coords, seed=0)
+        assert sample_joint_batch(jg, 1, 2, 0)[0].size > 1000
+        runs.append(one_step(module, jg, coords, objective, enc, 32, 64, 4))
+    (report, arrays), (want_report, want_arrays) = runs
+    assert report == want_report and len(arrays) == len(want_arrays)
+    for got, want in zip(arrays, want_arrays):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_graphcl_step_keeps_no_gathered_rows(monkeypatch):
+    """An unmasked view keeps no gathered input and the reconstruction no gather
+    of the clean embeddings; a masked view keeps its masked input only."""
+    module = importlib.import_module("gcope.pretrain")
+    graphs, jg, coords = small_joint(sizes=(60, 50))
+    features = jg.feature_tensor().data
+    encoded, buffers, backward = [], [], Tensor.backward
+
+    def recording_encode_view(encoder, feats, view, operator):
+        encoded.append((view, encode_view(encoder, feats, view, operator)))
+        return encoded[-1][1]
+
+    def recording_backward(loss):
+        buffers.extend(tape_buffers(loss))
+        backward(loss)
+    monkeypatch.setattr(module, "encode_view", recording_encode_view)
+    monkeypatch.setattr(Tensor, "backward", recording_backward)
+    one_step(module, jg, coords, "graphcl", "gcn", 6, 16, 6)
+
+    def kept(array):
+        return sum(b.shape == array.shape and np.array_equal(b, array) for b in buffers)
+    assert len(encoded) == 18
+    for view, _ in encoded:
+        gathered = features[view.nodes]
+        assert kept(gathered) == 0
+        if view.feature_mask is not None:
+            assert kept(gathered * view.feature_mask) == 1
+    for view, h in encoded[2::3]:        # each sample's clean view
+        assert view.feature_mask is None
+        ordinary = np.flatnonzero(~jg.is_coordinator(view.nodes))
+        assert ordinary.size < view.nodes.size and kept(h.data[ordinary]) == 0
