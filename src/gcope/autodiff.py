@@ -10,11 +10,10 @@ the transpose of a 0/1 selector whose row k holds a 1 in column idx[k]), or
 in `edge_spmm` as a constant structure whose data is a tensor. SciPy adds a
 CSR or CSC product's terms in stored order, k = 0, 1, ...: `np.add.at`'s
 order. So selector row sums (exact products by 1) equal its sequential ones
-bit for bit. An affine layer is one `dense` op and a GCN layer one `spmm` op;
-neither keeps a pre-activation, and `spmm` recomputes its a @ x in backward
-rather than keep it. Given `rows`, either reads x[rows] itself and keeps no
-gathered copy; a masked gather is one op. `mse` is one op that keeps only
-pred - target. The op set is exactly what the layers and losses need.
+bit for bit. An affine layer is one `dense` op and a GCN layer one `spmm` op
+that recomputes its a @ x in backward; given `rows`, either reads x[rows] itself.
+`tape_arrays` reads what a tape keeps off its tensors and backward closures, so
+ops declare nothing. The op set is exactly what the layers and losses need.
 """
 
 from __future__ import annotations
@@ -239,6 +238,29 @@ def no_grad():
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
+
+
+def tape_arrays(roots) -> list[np.ndarray]:
+    """The distinct arrays the tapes of `roots` keep: each reachable tensor's data, and
+    each array, sparse matrix (data, indices, indptr), tensor or nested function that a
+    `_backward` closure holds. A view counts as its base. Ops declare nothing."""
+    arrays, seen, stack = {}, set(), list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Tensor):
+            stack += [obj.data, *obj._parents, obj._backward]
+        elif isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            arrays[id(obj)] = obj
+        elif sp.issparse(obj):
+            stack += [obj.data, obj.indices, obj.indptr]
+        else:
+            stack += [c.cell_contents for c in getattr(obj, "__closure__", None) or ()]
+    return list(arrays.values())
 
 
 # ---- structural ops ----

@@ -19,7 +19,7 @@ from . import errors
 from .amalgam import CoordinatorSet, JointGraph, build_joint_graph, \
     refresh_dynamic_edges, sample_joint_batch
 from .autodiff import Tensor, concat_rows, gather_rows, mse, normalize_rows, \
-    softmax_cross_entropy
+    softmax_cross_entropy, tape_arrays
 from .graphstore import GraphDataset, binary_adjacency
 from .nn import Adam, MlpDecoder, graph_readout, make_encoder
 from .projection import ProjectionConfig, project_all
@@ -243,35 +243,11 @@ def pretrain(graphs: list[GraphDataset], proj_cfg: ProjectionConfig,
     return PretrainResult(encoder=encoder, history=history)
 
 
-def _tape_bytes(jg: JointGraph, encoder, cfg: PretrainConfig, samples: list) -> int:
-    """A step's forward tape, estimated from its samples. Each view (3 per sample for
-    graphcl, 2 for simgrace) keeps per layer one nodes x hidden for GCN; FAGCN keeps
-    two and five edges x 1 per layer, and its input layer and residual keep two more
-    nodes x hidden. A masked view also keeps its input (nodes x d_p) and a byte an
-    entry for its mask. The reconstruction keeps one nodes x hidden and two nodes x
-    d_p, and the step the joint feature matrix twice (parameters not counted)."""
-    d_p, hidden, fagcn = jg.base_features.shape[1], encoder.out_dim, encoder.kind == "fagcn"
-    nodes = np.array([s.nodes.size for s in samples])
-    edges = np.array([s.adjacency.nnz for s in samples]) * fagcn
-    layer = (1 + fagcn) * nodes * hidden + 5 * edges
-    view = nodes * 2 * hidden * fagcn + encoder.num_layers * layer
-    graphcl = cfg.objective == "graphcl"
-    masked = graphcl * sum(a.kind == "attr_mask" for a in cfg.augmentations)
-    values = (2 + graphcl) * view + masked * nodes * d_p + nodes * (hidden + 2 * d_p)
-    nbytes = (int(values.sum()) + 2 * jg.base_features.size) * encoder.params()[0].data.itemsize
-    return nbytes + masked * int(nodes.sum()) * d_p
-
-
 def pretrain_epoch(jg: JointGraph, encoder, decoder, cfg: PretrainConfig,
                    epoch: int, opt: Adam) -> LossReport:
     features = jg.feature_tensor()
     batch = sample_joint_batch(jg, cfg.batch_size, cfg.hops, cfg.seed, epoch)
     samples = [make_sample(jg, nodes) for nodes in batch]
-    tape = _tape_bytes(jg, encoder, cfg, samples)
-    if tape > PHYSICAL_MEMORY_BYTES:   # fail before encoding anything
-        raise errors.InvalidArgument(
-            f"a step's forward tape needs about {tape / 2**20:.0f} MB, more than "
-            f"physical memory; lower batch_size ({cfg.batch_size}) or hops ({cfg.hops})")
     z1_rows, z2_rows, recon_terms = [], [], []
     for k, sample in enumerate(samples):
         if cfg.objective == "graphcl":
@@ -293,6 +269,14 @@ def pretrain_epoch(jg: JointGraph, encoder, decoder, cfg: PretrainConfig,
         ordinary = np.flatnonzero(~jg.is_coordinator(sample.nodes))
         recon_terms.append(reconstruction_loss(
             decoder, h_clean, Tensor(jg.base_features[sample.nodes[ordinary]]), ordinary))
+        if k == 0:   # sample 0's tape beyond the shared arrays, scaled to the step by nodes
+            base, one = (sum(a.nbytes for a in tape_arrays([features, *opt.params, *roots]))
+                         for roots in ((), (z1_rows[0], z2_rows[0], recon_terms[0])))
+            tape = base + (one - base) * sum(s.nodes.size for s in samples) / sample.nodes.size
+            if tape > PHYSICAL_MEMORY_BYTES:
+                raise errors.InvalidArgument(
+                    f"a step's forward tape needs about {tape / 2**20:.0f} MB, more than "
+                    f"physical memory; lower batch_size ({cfg.batch_size}) or hops ({cfg.hops})")
     contrastive = nt_xent(concat_rows(z1_rows), concat_rows(z2_rows),
                           cfg.temperature)
     recon = concat_rows([t.reshape(1, 1) for t in recon_terms]).mean()

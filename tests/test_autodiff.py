@@ -7,7 +7,8 @@ import scipy.sparse as sp
 from gcope import errors
 from gcope.autodiff import (Param, Tensor, concat_rows, dense, edge_spmm, gather_rows,
                             logsumexp_rows, mse, no_grad, normalize_rows,
-                            scatter_add_rows, softmax_cross_entropy, softmax_rows, spmm)
+                            scatter_add_rows, softmax_cross_entropy, softmax_rows, spmm,
+                            tape_arrays)
 from gcope.nn import make_encoder
 from gcope.transfer import InducedSubgraph, TrainedModel
 
@@ -529,6 +530,38 @@ def test_mse_keeps_only_pred_on_the_tape():
     rng = np.random.default_rng(0)
     pred, target = rnd(rng, 4, 3), Tensor(rng.standard_normal((4, 3)))
     assert mse(pred, target)._parents == (pred,)
+
+
+def test_tape_arrays_sees_what_backward_closures_hold():
+    """The walk finds the arrays only a backward closure holds: mse's pred - target,
+    a masked gather's bool mask and index array, the operator `spmm` remaps through
+    `rows` and `edge_spmm`'s CSR. A view counts once as its base, and a tape already
+    backpropagated keeps only its root's data."""
+    rng = np.random.default_rng(0)
+    idx = np.array(READ_ROWS)
+
+    def kept(root, want):
+        return any(arr.dtype.kind == want.dtype.kind and np.array_equal(arr, want)
+                   for arr in tape_arrays([root]))
+
+    pred, target = rnd(rng, 4, 3), Tensor(rng.standard_normal((4, 3)))
+    assert kept(mse(pred, target), pred.data - target.data)
+    mask = (rng.uniform(size=(40, 16)) > 0.3).astype(np.float64)
+    masked = gather_rows(rnd(rng, 60, 16), idx, mask)
+    assert kept(masked, mask != 0) and any(arr is idx for arr in tape_arrays([masked]))
+    a = shuffled_csr(40, 3, 0, np.float64)
+    assert kept(spmm(a, rnd(rng, 60, 16), rnd(rng, 16, 8), rnd(rng, 8), "relu", idx),
+                idx[a.indices])
+    indptr, cols = np.array([0, 2, 3, 5], dtype=np.int32), np.array([0, 2, 1, 0, 1],
+                                                                   dtype=np.int32)
+    aggregated = edge_spmm(indptr, cols, rnd(rng, 5, 1), rnd(rng, 3, 2))
+    assert {id(indptr), id(cols)} <= {id(arr) for arr in tape_arrays([aggregated])}
+
+    x = rnd(rng, 4, 3)
+    assert [arr is x.data for arr in tape_arrays([x.T, x.reshape(12), x])] == [True]
+    loss = mse(x.T, Tensor(np.zeros((3, 4))))
+    loss.backward()
+    assert [arr is loss.data for arr in tape_arrays([loss])] == [True]
 
 
 def test_no_grad_builds_no_tape_and_computes_the_same_data():

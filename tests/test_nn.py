@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 from gcope import errors
 from gcope.amalgam import CoordinatorSet, bfs_ball, build_joint_graph
-from gcope.autodiff import Param, Tensor, concat_rows
+from gcope.autodiff import Param, Tensor, concat_rows, tape_arrays
 from gcope.graphstore import synth_dataset
 from gcope.nn import (ARCHITECTURE, Adam, FagcnEncoder, GcnEncoder, MlpDecoder,
                       gcn_normalize, graph_readout, make_encoder)
@@ -16,7 +16,6 @@ from gcope.projection import ProjectionConfig, project_all
 from gcope.transfer import induce_subgraph
 
 from oracles import diags_gcn_normalize, gather_forward, scalar_adam_trajectory, subset_mean
-from tapewalk import tape_buffers
 
 
 def ring_adjacency(n):
@@ -135,15 +134,17 @@ def test_fagcn_eps_validation():
 
 def test_fagcn_float32_keeps_no_edges_by_hidden_array():
     """The gate is two node-level products gathered to the edges and the
-    aggregation is one `edge_spmm`, so every array on the tape with a row per
-    edge is edges x 1: no edges x hidden array is kept."""
+    aggregation is one `edge_spmm`, so every float array on the tape with a row
+    per edge is edges x 1: no edges x hidden array is kept. The closures also keep
+    each edge's integer row and col."""
     hidden, layers = 5, 3
     enc = FagcnEncoder(4, hidden=hidden, num_layers=layers, seed=0)
     adj = ring_adjacency(7)
     x = np.random.default_rng(0).standard_normal((7, 4)).astype(np.float32)
     out = enc.forward(Tensor(x), enc.prepare(adj))
     assert out.dtype == np.float32
-    per_edge = [b for b in tape_buffers(out) if b.shape[:1] == (adj.nnz,)]
+    per_edge = [b for b in tape_arrays([out])
+                if b.shape[:1] == (adj.nnz,) and b.dtype.kind == "f"]
     assert per_edge and all(b.shape == (adj.nnz, 1) for b in per_edge)
 
 
@@ -156,7 +157,7 @@ def test_gcn_float32_keeps_one_node_array_per_layer():
     x = np.random.default_rng(0).standard_normal((7, 4)).astype(np.float32)
     out = enc.forward(Tensor(x), enc.prepare(adj))
     assert out.dtype == np.float32
-    per_node = [b for b in tape_buffers(out) if b.shape[:1] == (7,)]
+    per_node = [b for b in tape_arrays([out]) if b.shape[:1] == (7,)]
     assert len(per_node) <= 1 + layers
 
 
