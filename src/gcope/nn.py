@@ -37,7 +37,6 @@ class GcnEncoder:
         if activation not in ("relu", "tanh"):
             raise errors.InvalidArgument(f"unknown activation {activation!r}")
         self.dims = list(dims)
-        self.num_layers = len(dims) - 1
         self.activation = activation
         rng = np.random.default_rng([seed, 0xE0C])
         self.weights = [Param(glorot(rng, dims[i], dims[i + 1], dtype=dtype),
